@@ -176,19 +176,6 @@ class BsdeDiagnostics:
     smallness_ok: bool
     bound_violated: bool
 
-    def to_rows(self):
-        rows = []
-        for k in range(len(self.alive_counts)):
-            deltas = self.picard_deltas[k]
-            rows.append({
-                "step": k,
-                "alive": int(self.alive_counts[k]),
-                "cond": float(self.cond_numbers[k]),
-                "picard_iters": len(deltas),
-                "last_picard_delta": float(deltas[-1]) if deltas else 0.0,
-            })
-        return rows
-
 
 @dataclass(frozen=True)
 class BsdeSolution:

@@ -13,7 +13,6 @@ are a single vectorized control flow, so results never depend on it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from .market import export_paths_csv, simulate_paths
 from .payoffs import truncate_payoff
 from .replication import replication_cost_curve
 from .swaps import psi_matrix, swap_price, swap_price_paths
+from .table import grid_index, write_table
 
 
 def _write_run_stamp(cfg: ScenarioConfig, out_dir: Path, subcommand: str) -> None:
@@ -101,14 +101,8 @@ def _cmd_swaps(cfg: ScenarioConfig, out_dir: Path) -> None:
                      bundle.s[:n_show], params, spec1.maturity, spec2.maturity,
                      allow_singular=True)
     dets = psi.det()
-    with open(out_dir / "swaps.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "step", "t", "G1", "G2", "det_psi"])
-        for p in range(n_show):
-            for k in range(bundle.n_nodes):
-                writer.writerow([p, k, format(times[k], ".17g"),
-                                 format(g1[p, k], ".17g"), format(g2[p, k], ".17g"),
-                                 format(dets[p, k], ".17g")])
+    write_table(out_dir / "swaps.csv", ["path", "step", "t", "G1", "G2", "det_psi"],
+                [*grid_index(n_show, times), g1[:n_show], g2[:n_show], dets])
     g0_1 = float(swap_price(0.0, params.u0, params.v0, 0.0, params, spec1))
     g0_2 = float(swap_price(0.0, params.u0, params.v0, 0.0, params, spec2))
     _json_dump({
@@ -122,6 +116,9 @@ def _cmd_swaps(cfg: ScenarioConfig, out_dir: Path) -> None:
 
 
 def _cmd_bsde(cfg: ScenarioConfig, out_dir: Path) -> None:
+    """Solve the lambda = 0 (no persistent impact) value equation for the
+    configured payoff and write per-step solver diagnostics.
+    model.lambda_impact is ignored here; `replicate` uses it."""
     params = cfg.model_params()
     bundle = simulate_paths(params, cfg.time_grid(), cfg.get("run", "n_paths"),
                             cfg.get("run", "seed"))
@@ -130,18 +127,17 @@ def _cmd_bsde(cfg: ScenarioConfig, out_dir: Path) -> None:
     terminal = terminal_condition(bundle, trunc, x_units=1.0, lam=0.0)
     driver = driver_state(bundle, lam=0.0)
     sol = solve_quadratic_bsde(bundle, driver, terminal, bcfg)
-    rows = sol.diagnostics.to_rows()
-    with open(out_dir / "bsde_diagnostics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "alive", "cond", "picard_iters", "last_picard_delta"])
-        for row in rows:
-            writer.writerow([row["step"], row["alive"], format(row["cond"], ".17g"),
-                             row["picard_iters"], format(row["last_picard_delta"], ".17g")])
+    diag = sol.diagnostics
+    write_table(out_dir / "bsde_diagnostics.csv",
+                ["step", "alive", "cond", "picard_iters", "last_picard_delta"],
+                [np.arange(len(diag.alive_counts)), diag.alive_counts, diag.cond_numbers,
+                 [len(d) for d in diag.picard_deltas],
+                 [float(d[-1]) if d else 0.0 for d in diag.picard_deltas]])
     _json_dump({"y0": sol.y0, "y0_stderr": sol.y0_stderr,
                 "degenerate": sol.degenerate,
-                "max_abs_y": sol.diagnostics.max_abs_y,
-                "y_bound": sol.diagnostics.y_bound,
-                "smallness_ok": sol.diagnostics.smallness_ok},
+                "max_abs_y": diag.max_abs_y,
+                "y_bound": diag.y_bound,
+                "smallness_ok": diag.smallness_ok},
                out_dir / "bsde_summary.json")
 
 
@@ -163,11 +159,8 @@ def _cmd_arbitrage(cfg: ScenarioConfig, out_dir: Path) -> None:
         cfg.model_params(), cfg.time_grid(),
         cfg.get("run", "n_paths"), cfg.get("run", "seed"),
     )
-    with open(out_dir / "arbitrage.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "mean_gain", "stderr"])
-        for label, mean, err in zip(result.labels, result.means, result.stderrs):
-            writer.writerow([label, format(mean, ".17g"), format(err, ".17g")])
+    write_table(out_dir / "arbitrage.csv", ["strategy", "mean_gain", "stderr"],
+                [result.labels, result.means, result.stderrs])
     _json_dump({"violates": result.violates, "worst_z": result.worst_z},
                out_dir / "arbitrage_summary.json")
 
@@ -187,7 +180,6 @@ def run(subcommand: str, cfg: ScenarioConfig, out_dir) -> int:
     out_dir = Path(out_dir)
     try:
         cfg.validate(experiment=subcommand)
-        cfg.model_params().validate()
         _write_run_stamp(cfg, out_dir, subcommand)
         _COMMANDS[subcommand](cfg, out_dir)
     except ValidationFailure as exc:
@@ -210,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="liquidity-impact Monte Carlo laboratory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, description=_COMMANDS[name].__doc__)
         p.add_argument("--config", default=None, help="scenario file (key = value sections)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry, e.g. --set model.epsilon=0")

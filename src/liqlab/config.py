@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, ValidationFailure
 from .ledger import SwapLiquidity
 from .market import GammaMap, ModelParams, VolCoeff
 from .noise import TimeGrid, decompose_correlation
@@ -167,54 +167,34 @@ class ScenarioConfig:
     # -- validation -----------------------------------------------------
 
     def validate(self, experiment: str | None = None) -> None:
+        """Reject the configuration before any heavy computation starts.
+
+        Numeric range rules live in the domain objects the configuration
+        builds; this only adds the checks no domain object owns.
+        """
         for pair, choices in _CHOICES.items():
             val = self.values[pair]
             if val not in choices:
                 raise ValidationError(
                     f"{pair[0]}.{pair[1]} must be one of {sorted(choices)}, got {val!r}"
                 )
-        lam = self.get("model", "lambda_impact")
-        if not (0.0 <= lam <= 1.0):
-            raise ValidationError("lambda_impact must lie in [0,1]")
-        for leg in ("lambda1", "lambda2"):
-            if not (0.0 <= self.get("swaps", leg) <= 1.0):
-                raise ValidationError(f"swaps.{leg} must lie in [0,1]")
-        if self.get("model", "epsilon") < 0:
-            raise ValidationError("epsilon must be nonnegative")
-        for key in ("s0", "u0", "v0"):
-            if self.get("model", key) <= 0:
-                raise ValidationError(f"model.{key} must be positive")
-        if self.get("grid", "horizon") <= 0:
-            raise ValidationError("grid.horizon must be positive")
-        if self.get("grid", "n_steps") < 1:
-            raise ValidationError("grid.n_steps must be at least 1")
-        t1, t2 = self.get("grid", "t1"), self.get("grid", "t2")
-        horizon = self.get("grid", "horizon")
-        if t1 <= horizon or t2 <= horizon or t1 == t2:
-            raise ValidationError("swap maturities must exceed the horizon and differ")
-        for leg in ("m1", "m2"):
-            if self.get("swaps", leg) <= 0:
-                raise ValidationError(f"swaps.{leg} must be positive")
-        if self.get("bsde", "l_trunc") <= 1:
-            raise ValidationError("bsde.l_trunc must exceed 1")
-        if self.get("bsde", "n_trunc") <= 0:
-            raise ValidationError("bsde.n_trunc must be positive")
         if self.get("run", "n_paths") < 1:
             raise ValidationError("run.n_paths must be at least 1")
         if experiment is not None and experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {experiment!r}")
-        needs_completion = experiment in ("swaps", "bsde", "replicate")
-        if needs_completion and self.get("model", "alpha") == self.get("model", "gamma"):
+        try:
+            params = self.model_params()
+            params.validate(require_swap_hedging=experiment in ("swaps", "bsde", "replicate"))
+            self.time_grid()
+            self.swap_liquidity()
+            self.bsde_config()
+            self.payoff()
+        except ValidationFailure as exc:
+            raise ValidationError(str(exc)) from exc
+        if experiment == "arbitrage-test" and not params.submartingale_ok:
             raise ValidationError(
-                "alpha must differ from gamma: equal rates make the swap loading "
-                "matrix singular and the market cannot be completed"
+                "arbitrage-test needs gamma_map=identity with positive gamma and eta"
             )
-        if experiment == "arbitrage-test":
-            if not (self.get("model", "gamma_map") == "identity"
-                    and self.get("model", "gamma") > 0 and self.get("model", "eta") > 0):
-                raise ValidationError(
-                    "arbitrage-test needs gamma_map=identity with positive gamma and eta"
-                )
 
     # -- serialization --------------------------------------------------
 

@@ -60,10 +60,6 @@ class MissingDerivative(ValidationFailure):
     pass
 
 
-class InconsistentSeeds(ValidationFailure):
-    pass
-
-
 class ParseError(ValidationFailure):
     def __init__(self, message, line_no=None):
         self.line_no = line_no

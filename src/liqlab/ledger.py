@@ -15,7 +15,6 @@ discrepancy is reported so the identity stays an executable check.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import GridMismatch, InvalidParams, NotSubmartingaleParams
 from .market import ModelParams, PathBundle, simulate_paths
 from .noise import TimeGrid
 from .order_book import ImpactedQuotePath, impacted_quote_path, positions_2d
+from .table import grid_index, write_table
 
 
 @dataclass(frozen=True)
@@ -296,18 +296,9 @@ def _vol_dodger(size: float):
 def export_ledger_csv(bundle, strategy: Strategy, report: LedgerReport, path) -> None:
     """Write (path, step, t, X, chi1, chi2, Y, gains, impact_term, quad_cost, liq_value)."""
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    x = strategy.stock(n_paths, n_nodes)
-    c1 = strategy.swap(1, n_paths, n_nodes)
-    c2 = strategy.swap(2, n_paths, n_nodes)
-    times = bundle.grid.times()
-    cols = [x, c1, c2, report.y_direct, report.gains, report.impact_term,
-            report.quad_cost, report.liq_value]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "step", "t", "X", "chi1", "chi2", "Y",
-                         "gains", "impact_term", "quad_cost", "liq_value"])
-        for p in range(n_paths):
-            for k in range(n_nodes):
-                row = [p, k, format(times[k], ".17g")]
-                row += [format(col[p, k], ".17g") for col in cols]
-                writer.writerow(row)
+    write_table(path, ["path", "step", "t", "X", "chi1", "chi2", "Y",
+                       "gains", "impact_term", "quad_cost", "liq_value"],
+                [*grid_index(n_paths, bundle.grid.times()), strategy.stock(n_paths, n_nodes),
+                 strategy.swap(1, n_paths, n_nodes), strategy.swap(2, n_paths, n_nodes),
+                 report.y_direct, report.gains, report.impact_term, report.quad_cost,
+                 report.liq_value])

@@ -19,7 +19,6 @@ monotone function of U, so there is no need to invert it numerically.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import DegenerateState, InvalidParams, ZeroPaths
 from .noise import CorrelationDecomposition, NoiseBlock, TimeGrid, draw_noise
+from .table import grid_index, write_table
 
 _STATE_FLOOR = 1e-14
 
@@ -58,10 +58,6 @@ class GammaMap:
             d2=lambda u: np.full_like(np.asarray(u, dtype=float), 2.0),
         )
 
-    @staticmethod
-    def custom(fn, d1, d2) -> "GammaMap":
-        return GammaMap(kind="custom", fn=fn, d1=d1, d2=d2)
-
 
 @dataclass(frozen=True)
 class VolCoeff:
@@ -69,15 +65,14 @@ class VolCoeff:
 
     kind "power" evaluates v**exponent * scale, "constant" a fixed level.
     condition_ok records whether the coefficient qualifies for the swap
-    representation (power exponent in [0, 1/2], or Lipschitz: a constant,
-    a linear power, or a custom function declared Lipschitz).
+    representation (power exponent in [0, 1/2], or Lipschitz: a constant
+    or a linear power).
     """
 
     kind: str
     exponent: float = 0.5
     scale: float = 1.0
     level: float = 0.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
     lipschitz: bool = False
 
     @staticmethod
@@ -91,17 +86,11 @@ class VolCoeff:
     def constant(level: float) -> "VolCoeff":
         return VolCoeff(kind="constant", level=level, lipschitz=True)
 
-    @staticmethod
-    def custom(fn, lipschitz: bool = False) -> "VolCoeff":
-        return VolCoeff(kind="custom", fn=fn, lipschitz=lipschitz)
-
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         if self.kind == "power":
             return self.scale * np.power(v, self.exponent)
-        if self.kind == "constant":
-            return np.full_like(v, self.level)
-        return np.asarray(self.fn(v), dtype=float)
+        return np.full_like(v, self.level)
 
     @property
     def condition_ok(self) -> bool:
@@ -137,7 +126,8 @@ class ModelParams:
             raise InvalidParams("initial states s0, u0, v0 must be positive")
         if require_swap_hedging and self.alpha == self.gamma:
             raise InvalidParams(
-                "alpha must differ from gamma when variance-swap hedging is requested"
+                "alpha must differ from gamma: equal rates make the swap loading "
+                "matrix singular and the market cannot be completed"
             )
 
     @property
@@ -172,13 +162,6 @@ class PathBundle:
     @property
     def n_nodes(self) -> int:
         return self.s.shape[1]
-
-    def same_noise_as(self, other: "PathBundle") -> bool:
-        return (
-            self.noise.seed == other.noise.seed
-            and self.noise.db.shape == other.noise.db.shape
-            and self.grid == other.grid
-        )
 
 
 def simulate_paths(
@@ -226,6 +209,11 @@ def simulate_paths(
         u[:, k + 1] = np.maximum(u_raw, 0.0)
         v[:, k + 1] = np.maximum(v_raw, 0.0)
 
+    bad = ~(np.isfinite(s) & np.isfinite(u) & np.isfinite(v) & np.isfinite(rv))
+    if bad.any():
+        step = int(bad.any(axis=0).argmax())
+        raise DegenerateState(f"non-finite state at step {step} on path "
+                              f"{int(bad[:, step].argmax())}: the factor dynamics blew up")
     sigma = np.sqrt(u + v)
     m = params.epsilon * params.gamma_map.fn(u)
     return PathBundle(grid=grid, params=params, noise=noise,
@@ -276,21 +264,9 @@ def driver_coefficient_paths(bundle: PathBundle) -> np.ndarray:
 
 def export_paths_csv(bundle: PathBundle, path) -> None:
     """Write (path, step, t, S, U, V, Sigma, M, RV) rows, one per grid node."""
-    times = bundle.grid.times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "step", "t", "S", "U", "V", "Sigma", "M", "RV"])
-        for p in range(bundle.n_paths):
-            for k in range(bundle.n_nodes):
-                writer.writerow(
-                    [p, k, _fmt(times[k]), _fmt(bundle.s[p, k]), _fmt(bundle.u[p, k]),
-                     _fmt(bundle.v[p, k]), _fmt(bundle.sigma[p, k]), _fmt(bundle.m[p, k]),
-                     _fmt(bundle.rv[p, k])]
-                )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    write_table(path, ["path", "step", "t", "S", "U", "V", "Sigma", "M", "RV"],
+                [*grid_index(bundle.n_paths, bundle.grid.times()),
+                 bundle.s, bundle.u, bundle.v, bundle.sigma, bundle.m, bundle.rv])
 
 
 def with_epsilon(params: ModelParams, epsilon: float) -> ModelParams:

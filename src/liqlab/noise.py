@@ -67,10 +67,6 @@ class CorrelationDecomposition:
     theta1 = 0.0
     theta2 = 0.0
 
-    def stock_loadings(self) -> np.ndarray:
-        """(sigma1, sigma2, sigma3): loadings of W1 on the independent B."""
-        return self.tri_inv[0].copy()
-
     def vol_u_loadings(self) -> np.ndarray:
         """(0, phi2, phi3): loadings of W2."""
         return self.tri_inv[1].copy()

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateState, GridMismatch
+from .table import grid_index, write_table
 
 _DEPTH_FLOOR = 0.0
 
@@ -86,19 +87,7 @@ def impacted_quote_path(bundle, strategy, lam: float) -> ImpactedQuotePath:
 
 def export_quotes_csv(bundle, quotes: ImpactedQuotePath, strategy, path) -> None:
     """Write (path, step, t, S, S0_pre, S0_post, X) rows."""
-    import csv
-
     x = positions_2d(getattr(strategy, "x", strategy), bundle.n_paths, bundle.n_nodes)
-    times = bundle.grid.times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "step", "t", "S", "S0_pre", "S0_post", "X"])
-        for p in range(bundle.n_paths):
-            for k in range(bundle.n_nodes):
-                writer.writerow([
-                    p, k, format(times[k], ".17g"),
-                    format(bundle.s[p, k], ".17g"),
-                    format(quotes.s0_pre[p, k], ".17g"),
-                    format(quotes.s0_post[p, k], ".17g"),
-                    format(x[p, k], ".17g"),
-                ])
+    write_table(path, ["path", "step", "t", "S", "S0_pre", "S0_post", "X"],
+                [*grid_index(bundle.n_paths, bundle.grid.times()),
+                 bundle.s, quotes.s0_pre, quotes.s0_post, x])

@@ -16,10 +16,9 @@ numbers), so x-comparisons are paired and low-variance.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,11 +30,12 @@ from .bsde import (
     solve_quadratic_bsde,
     terminal_condition,
 )
-from .errors import InconsistentSeeds, InvalidParams, MissingDerivative
+from .errors import InvalidParams, MissingDerivative
 from .market import ModelParams, PathBundle, mu_coeff, simulate_paths, with_epsilon
 from .noise import TimeGrid
 from .order_book import impacted_quote_path
 from .payoffs import Payoff, TruncatedPayoff, truncate_payoff
+from .table import write_table
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,9 @@ class ReplicationReport:
     smallness_warning: bool
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "Y0", "H0", "stderr", "impact_err", "impact_stderr"])
-            for i in range(len(self.xs)):
-                writer.writerow([format(v, ".17g") for v in (
-                    self.xs[i], self.y0s[i], self.h0s[i], self.h0_stderrs[i],
-                    self.impact_errs[i], self.impact_stderrs[i])])
+        write_table(path, ["x", "Y0", "H0", "stderr", "impact_err", "impact_stderr"],
+                    [self.xs, self.y0s, self.h0s, self.h0_stderrs,
+                     self.impact_errs, self.impact_stderrs])
 
     def summary(self) -> dict:
         return {
@@ -196,14 +192,6 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0])
 
 
-def check_common_bundle(bundles) -> None:
-    """All experiment bundles must share seed, shape and grid."""
-    first = bundles[0]
-    for other in bundles[1:]:
-        if not first.same_noise_as(other):
-            raise InconsistentSeeds("x-runs must share one bundle (common random numbers)")
-
-
 def replication_cost_curve(
     params: ModelParams,
     grid: TimeGrid,
@@ -222,8 +210,9 @@ def replication_cost_curve(
     lam = params.lambda_impact
 
     bundle = simulate_paths(params, grid, n_paths, seed)
-    bundle_lin = simulate_paths(with_epsilon(params, 0.0), grid, n_paths, seed)
-    check_common_bundle([bundle, bundle_lin])
+    # epsilon only scales the depth, so the zero-illiquidity bundle is the
+    # same paths with M = 0: bitwise what simulate_paths gives at epsilon = 0.
+    bundle_lin = replace(bundle, params=with_epsilon(params, 0.0), m=np.zeros_like(bundle.m))
     hat = hat_solution(bundle_lin, payoff, config)
 
     n = bundle.n_paths

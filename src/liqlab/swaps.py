@@ -28,7 +28,7 @@ from .errors import (
     SingularConfig,
     SingularSystem,
 )
-from .market import ModelParams, PathBundle, zeta_coeff
+from .market import ModelParams, PathBundle
 
 _C_ZERO = 1e-10
 _DEGENERATE = 1e-14
@@ -120,10 +120,6 @@ class PsiMatrix:
 
     def det(self) -> np.ndarray:
         return np.linalg.det(self.entries)
-
-    def maturity_block(self) -> np.ndarray:
-        """The 2x2 swap block on drivers 2 and 3 (columns 1 and 2)."""
-        return self.entries[..., :2, 1:]
 
 
 def psi_matrix(
@@ -240,7 +236,3 @@ def invert_hedge(
     chi = np.linalg.solve(system, rhs[..., None])[..., 0]
     return x, chi[..., 0], chi[..., 1]
 
-
-def zeta_on_bundle(bundle: PathBundle) -> np.ndarray:
-    """Depth diffusion weight at every node, for hedge recovery."""
-    return zeta_coeff(bundle.u, bundle.params)

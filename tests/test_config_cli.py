@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liqlab.cli import main
+from liqlab.cli import main, run
 from liqlab.config import (
     ScenarioConfig,
     apply_overrides,
@@ -97,6 +97,33 @@ class TestValidation:
         with pytest.raises(ValidationError):
             cfg.validate()
 
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("simulate", ["swaps.lambda1=1.5"]),
+        ("simulate", ["swaps.lambda2=-0.1"]),
+        ("simulate", ["model.epsilon=-0.001"]),
+        ("simulate", ["model.s0=0"]),
+        ("simulate", ["model.u0=-0.01"]),
+        ("simulate", ["model.v0=0"]),
+        ("simulate", ["grid.horizon=0"]),
+        ("simulate", ["grid.n_steps=0"]),
+        ("simulate", ["grid.t1=0.5"]),
+        ("simulate", ["grid.t2=1.0"]),
+        ("simulate", ["grid.t1=2.5", "grid.t2=2.5"]),
+        ("simulate", ["swaps.m1=0"]),
+        ("simulate", ["swaps.m2=-1"]),
+        ("simulate", ["bsde.l_trunc=1"]),
+        ("simulate", ["bsde.n_trunc=0"]),
+        ("simulate", ["run.n_paths=0"]),
+        ("bogus", []),
+    ])
+    def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
+        cfg = apply_overrides(ScenarioConfig(), overrides)
+        with pytest.raises(ValidationError):
+            cfg.validate(experiment=experiment)
+        out = tmp_path / "o"
+        assert run(experiment, cfg, out) == 2
+        assert not out.exists()
+
 
 def run_cli(args):
     return main(args)
@@ -132,6 +159,19 @@ class TestCli:
         assert code == 3
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "RegressionRankDeficient"
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "bsde"])
+    def test_exploding_factor_is_a_numerical_failure(self, subcommand, tmp_path):
+        # a cubic U diffusion overflows within eight steps on some paths
+        out = tmp_path / "x"
+        code = run_cli([subcommand, "--out", str(out), "--seed", "1",
+                        "--set", "run.n_paths=50", "--set", "grid.n_steps=8",
+                        "--set", "model.u0=1", "--set", "model.gamma=5",
+                        "--set", "model.phi_exponent=3", "--set", "model.phi_scale=80"])
+        assert code == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "DegenerateState"
+        assert not (out / "paths.csv").exists()
 
     def test_ledger_zero_liquidity_zero_cost_columns(self, tmp_path):
         out = tmp_path / "led"

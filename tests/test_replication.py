@@ -14,16 +14,15 @@ from liqlab import (
     replication_cost_curve,
     simulate_paths,
 )
+from liqlab import replication
 from liqlab.bsde import driver_state, solve_quadratic_bsde, terminal_condition
 from liqlab.errors import (
-    InconsistentSeeds,
     InvalidParams,
     MissingDerivative,
     SingularSystem,
 )
 from liqlab.market import with_epsilon
 from liqlab.payoffs import Payoff
-from liqlab.replication import check_common_bundle
 
 from conftest import override
 
@@ -231,14 +230,28 @@ class TestImpactError:
         assert mse == 0.0
 
 
-def test_common_bundle_check(default_config):
-    cfg = override(default_config, grid__n_steps=8)
-    a = simulate_paths(cfg.model_params(), cfg.time_grid(), 16, seed=1)
-    b = simulate_paths(cfg.model_params(), cfg.time_grid(), 16, seed=2)
-    with pytest.raises(InconsistentSeeds):
-        check_common_bundle([a, b])
-    check_common_bundle([a, simulate_paths(cfg.model_params(), cfg.time_grid(),
-                                           16, seed=1)])
+@pytest.mark.parametrize("gamma_map", ["identity", "square"])
+def test_hat_bundle_equals_zero_epsilon_simulation(monkeypatch, default_config, gamma_map):
+    # The run derives its frictionless bundle from the main one instead of
+    # simulating again; it must be bitwise what epsilon = 0 simulates.
+    cfg = override(default_config, grid__n_steps=8, model__gamma_map=gamma_map)
+    params, grid = cfg.model_params(), cfg.time_grid()
+    seen = []
+
+    def capture(bundle_lin, payoff, config):
+        seen.append(bundle_lin)
+        raise StopIteration  # the solves are not under test
+
+    monkeypatch.setattr(replication, "hat_solution", capture)
+    with pytest.raises(StopIteration):
+        replication_cost_curve(params, grid, call_ramp(100.0, 100.0), [50.0], 400, 5,
+                               cfg.bsde_config())
+    fresh = simulate_paths(with_epsilon(params, 0.0), grid, 400, 5)
+    [derived] = seen
+    assert derived.params == fresh.params and derived.grid == fresh.grid
+    for name in ("s", "u", "v", "sigma", "m", "rv"):
+        assert getattr(derived, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert derived.noise.db.tobytes() == fresh.noise.db.tobytes()
 
 
 def test_report_serialization(tmp_path, default_config):
