@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -319,3 +321,37 @@ class TestHedge:
         # scheme, so the replay mean carries a small systematic part
         allowance = 0.05 * abs(sol.y0)
         assert abs(err.mean()) < 3 * err.std(ddof=1) / np.sqrt(err.shape[0]) + allowance
+
+
+def _traced_peak(fn):
+    """fn() and the peak of traced allocations above the level at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    """The backward pass and the hedge inversion allocate their outputs and
+    per-step work arrays, not a second copy of the bundle or of the outputs."""
+
+    def test_backward_pass_and_hedge_peaks(self, default_config):
+        params = default_config.model_params()
+        bundle = simulate_paths(params, default_config.time_grid(), 2000, seed=21)
+        config = default_config.bsde_config()
+        trunc = truncate_payoff(default_config.payoff(), config.n_trunc)
+        term = terminal_condition(bundle, trunc, 1.0, 0.0)
+        driver = driver_state(bundle, 0.0)
+
+        sol, solve_peak = _traced_peak(
+            lambda: solve_quadratic_bsde(bundle, driver, term, config))
+        solve_bytes = sol.y.nbytes + sol.z.nbytes + sol.xi.nbytes + sol.tau_index.nbytes
+        assert solve_peak <= 1.5 * solve_bytes
+
+        sol, hedge_peak = _traced_peak(lambda: hedge_from_solution(sol, bundle))
+        hedge_bytes = sol.x.nbytes + sol.chi1.nbytes + sol.chi2.nbytes
+        assert hedge_peak <= 1.5 * hedge_bytes

@@ -1,10 +1,14 @@
 """Byte-for-byte regression of the CLI writers against recorded hashes.
 
-Each subcommand runs at 50 paths x 8 steps with seed 3 and every file it
-writes is hashed.  The hashes were recorded before the writers were folded
-into `liqlab.table.write_table`; a change to any output byte (format,
-row order, line ends, a number) fails here.  The solver subcommands are
-left out: their BLAS reductions may differ with the thread count.
+Each case runs with seed 3 and every file it writes is hashed; a change
+to any output byte (format, row order, line ends, a number) fails here.
+The forward subcommands run at 50 paths x 8 steps; their hashes were
+recorded before the writers were folded into `liqlab.table.write_table`.
+The solver subcommands run at 200 paths x 16 steps, where their hashes
+are the same with one and two BLAS threads: `bsde`, `bsde` with
+`bsde.l_trunc=5.2` (paths stop from step 1 on, so the stopped-path
+branch of the backward pass is hashed) and `replicate` with two unit
+counts (hat solve, two x-solves and the hedge inversion).
 """
 
 import hashlib
@@ -13,11 +17,17 @@ import pytest
 
 from liqlab.cli import main
 
+SMALL = ["--set", "run.n_paths=50", "--set", "grid.n_steps=8"]
+SOLVER = ["--set", "run.n_paths=200", "--set", "grid.n_steps=16"]
+
 ARGS = {
-    "simulate": ["simulate"],
-    "ledger": ["ledger", "--set", "strategy.kind=random"],
-    "swaps": ["swaps"],
-    "arbitrage-test": ["arbitrage-test"],
+    "simulate": ["simulate", *SMALL],
+    "ledger": ["ledger", "--set", "strategy.kind=random", *SMALL],
+    "swaps": ["swaps", *SMALL],
+    "arbitrage-test": ["arbitrage-test", *SMALL],
+    "bsde": ["bsde", *SOLVER],
+    "bsde-stopping": ["bsde", "--set", "bsde.l_trunc=5.2", *SOLVER],
+    "replicate": ["replicate", "--set", "run.n_x=2", *SOLVER],
 }
 
 SHA256 = {
@@ -59,14 +69,43 @@ SHA256 = {
         "run_info.json":
             "44f19a6ed932a6c361fc690a9fc9271eb1e6976b064fc1859e81a959970f74bc",
     },
+    "bsde": {
+        "bsde_diagnostics.csv":
+            "bb6f935b17176b3947c8335597b5cf82a82255b50297d2db2208e6f3bcd19365",
+        "bsde_summary.json":
+            "53107de882e5d782c25af5a2b5e101a203d1d1c1fcf8ffd9b69e93a6cf653275",
+        "resolved.cfg":
+            "10a94bc31fc07e2a8e3e02074b44da725d549fbd177dd3f1222a409b7e68b42b",
+        "run_info.json":
+            "9675f88e0697035f9972ff21cf2a73fabc8cbad90b3666b4064ea238dba13c84",
+    },
+    "bsde-stopping": {
+        "bsde_diagnostics.csv":
+            "e8f36248534ff78925fdd80b875494ceaa88cf816972f01eabc94830f7affaf0",
+        "bsde_summary.json":
+            "114142921a9c3a9c231ce4eec9028948812c9292ace0c2c8e8b246156977bfef",
+        "resolved.cfg":
+            "c79f7068c60f6e0cb1f84d0262822ff5b9090bf91daab785db5969dd185b3a83",
+        "run_info.json":
+            "9675f88e0697035f9972ff21cf2a73fabc8cbad90b3666b4064ea238dba13c84",
+    },
+    "replicate": {
+        "report.csv":
+            "dd7f00fef436dc284828566202bcfc97e07f06f8b60caf089a786b26c89825f2",
+        "report.json":
+            "583811df9230f66f468b733e4967743f02b039c7873f5170ec5a0cf3e4346e47",
+        "resolved.cfg":
+            "be17c8528394559781f0164800b2eef8b8601b5412d91f12bf6457922e4eed32",
+        "run_info.json":
+            "bd307ac4a9cf11bc6151a864eab2b3f296da47c25225a4ae9cc0b2a3db6a3671",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARGS))
 def test_outputs_match_recorded_hashes(name, tmp_path):
     out = tmp_path / name
-    code = main([*ARGS[name], "--out", str(out), "--seed", "3",
-                 "--set", "run.n_paths=50", "--set", "grid.n_steps=8"])
+    code = main([*ARGS[name], "--out", str(out), "--seed", "3"])
     assert code == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == SHA256[name]
