@@ -34,7 +34,7 @@ hat_profile[:, -1] = 0.0
 x_units = 50.0
 term_q = ll.terminal_condition(bundle, trunc, x_units, params.lambda_impact,
                                hat_profile)
-driver = ll.driver_state(bundle, params.lambda_impact, x_units)
+driver = ll.driver_state(bundle, params.lambda_impact)
 sol_q = ll.solve_quadratic_bsde(bundle, driver, term_q, config)
 print(f"{x_units:.0f}-unit value with impact: {sol_q.y0:.2f} "
       f"(per unit {sol_q.y0 / x_units:.4f})")

@@ -46,7 +46,7 @@ class BsdeConfig:
     degree: int = 2
     picard_iters: int = 5
     picard_tol: float = 1e-8
-    min_paths_per_regression: int | None = None
+    min_paths_per_regression: int = 0
     ridge: float = 1e-8
 
     def __post_init__(self):
@@ -60,15 +60,14 @@ class BsdeConfig:
 
 @dataclass(frozen=True)
 class DriverState:
-    """Quadratic-driver data: Lambda per node, impact fraction, unit count."""
+    """Quadratic-driver data: Lambda per node and impact fraction, for any unit count."""
 
     lambda_vals: np.ndarray
     lam: float
-    x_units: float = 1.0
 
 
-def driver_state(bundle: PathBundle, lam: float, x_units: float = 1.0) -> DriverState:
-    return DriverState(lambda_vals=driver_coefficient_paths(bundle), lam=lam, x_units=x_units)
+def driver_state(bundle: PathBundle, lam: float) -> DriverState:
+    return DriverState(lambda_vals=driver_coefficient_paths(bundle), lam=lam)
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class TerminalCondition:
     values: np.ndarray
     s_tilde: np.ndarray
     x_units: float
-    lam: float
     payoff_bound: float
 
 
@@ -119,7 +117,7 @@ def terminal_condition(
         s_tilde = bundle.s[:, -1] - 2.0 * lam * x_units * np.sum(hat[:, :-1] * dm, axis=1)
     values = x_units * payoff(s_tilde)
     return TerminalCondition(values=values, s_tilde=s_tilde, x_units=x_units,
-                             lam=lam, payoff_bound=payoff.bound)
+                             payoff_bound=payoff.bound)
 
 
 def _n_features(degree: int) -> int:
@@ -236,7 +234,7 @@ def solve_quadratic_bsde(
                             xi=xi, diagnostics=diag, degenerate=True)
 
     n_feat = _n_features(config.degree)
-    min_alive = max(config.min_paths_per_regression or 0, n_feat)
+    min_alive = max(config.min_paths_per_regression, n_feat)
     alive_counts = np.zeros(n_steps, dtype=int)
     cond_numbers = np.zeros(n_steps)
     picard_deltas: list = [[] for _ in range(n_steps)]
@@ -248,7 +246,9 @@ def solve_quadratic_bsde(
         y[stopped, k] = y[stopped, k + 1]
         n_alive = int(alive.sum())
         alive_counts[k] = n_alive
-        if n_alive == 0:
+        if n_alive == n_paths:
+            alive = slice(None)     # views instead of gathers
+        elif n_alive == 0:
             continue
         if n_alive < min_alive:
             raise RegressionRankDeficient(
@@ -334,7 +334,9 @@ def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolut
     chi2 = np.zeros((n_paths, n_nodes))
     for k in range(n_nodes):
         alive = solution.tau_index > k
-        if not alive.any():
+        if alive.all():
+            alive = slice(None)     # views instead of gathers
+        elif not alive.any():
             continue
         u_k = bundle.u[alive, k]
         v_k = bundle.v[alive, k]

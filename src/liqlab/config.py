@@ -138,13 +138,12 @@ class ScenarioConfig:
     def bsde_config(self):
         from .bsde import BsdeConfig
 
-        min_paths = self.get("bsde", "min_paths")
         return BsdeConfig(
             l_trunc=self.get("bsde", "l_trunc"), n_trunc=self.get("bsde", "n_trunc"),
             degree=self.get("bsde", "degree"),
             picard_iters=self.get("bsde", "picard_iters"),
             picard_tol=self.get("bsde", "picard_tol"),
-            min_paths_per_regression=min_paths if min_paths > 0 else None,
+            min_paths_per_regression=self.get("bsde", "min_paths"),
             ridge=self.get("bsde", "ridge"),
         )
 

@@ -20,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# Imported here, not on numpy's lazy first use inside draw_noise, where the
+# module's state would land above the noise array and pin the freed heap.
+from numpy.random import default_rng
 
 from .errors import NotPositiveDefinite, NotSymmetric, InvalidParams, ZeroPaths
 
@@ -182,7 +185,7 @@ def draw_noise(
     sqrt_dt = np.sqrt(grid.dt)
     db = np.empty((n_paths, grid.n_steps, 3))
     for i in range(n_paths):
-        rng = np.random.default_rng((seed, i))
+        rng = default_rng((seed, i))
         db[i] = rng.standard_normal((grid.n_steps, 3))
     db *= sqrt_dt
     dw = np.einsum("pkj,ij->pki", db, decomp.tri_inv)

@@ -222,9 +222,9 @@ def replication_cost_curve(
     per_path_diffs = {}
     smallness_warning = False
 
+    driver = driver_state(bundle, lam)
     for x in xs:
         terminal = terminal_condition(bundle, hat.trunc, x, lam, hat.x)
-        driver = driver_state(bundle, lam, x_units=x)
         sol = solve_quadratic_bsde(bundle, driver, terminal, config)
         if not sol.diagnostics.smallness_ok:
             smallness_warning = True

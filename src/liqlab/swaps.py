@@ -116,7 +116,6 @@ class PsiMatrix:
 
     entries: np.ndarray
     degenerate: np.ndarray
-    alpha_equals_gamma: bool
 
     def det(self) -> np.ndarray:
         return np.linalg.det(self.entries)
@@ -163,8 +162,7 @@ def psi_matrix(
     degenerate = (np.abs(phi_u) <= _DEGENERATE) | (np.abs(theta_v) <= _DEGENERATE) \
         | (np.abs(sigma_s) <= _DEGENERATE)
     degenerate = np.broadcast_to(degenerate, batch).copy()
-    return PsiMatrix(entries=entries, degenerate=degenerate,
-                     alpha_equals_gamma=params.alpha == params.gamma)
+    return PsiMatrix(entries=entries, degenerate=degenerate)
 
 
 def exposure_from_hedge(x, chi1, chi2, psi: PsiMatrix, sigma_s, zeta_u, params: ModelParams):
@@ -195,44 +193,30 @@ def invert_hedge(
     sigma_s,
     zeta_u,
     params: ModelParams,
-    x_already_known=None,
 ):
     """Recover (X, chi1, chi2) from diffusion exposures Z.
 
     X comes from the first component alone; the swap positions then solve
-    a 2x2 linear system by direct elimination.  Vectorizes over batches.
+    the 2x2 swap block by Cramer's rule.  Vectorizes over batches.
     """
     z = np.asarray(z, dtype=float)
     sigma_s = np.asarray(sigma_s, dtype=float)
     d = params.decomp
     denom = d.sigma1 * sigma_s
-    if x_already_known is not None:
-        x = np.asarray(x_already_known, dtype=float)
-    else:
-        if np.any(np.abs(denom) < _DEGENERATE):
-            raise DegenerateState("sigma1 * Sigma * S too small to recover the stock position")
-        x = z[..., 0] / denom
+    if np.any(np.abs(denom) < _DEGENERATE):
+        raise DegenerateState("sigma1 * Sigma * S too small to recover the stock position")
+    x = z[..., 0] / denom
 
-    batch = np.broadcast(x, sigma_s).shape
     if np.any(psi.degenerate):
         raise SingularSystem("loading matrix degenerate at some state")
-    system = np.empty(batch + (2, 2))
-    system[..., 0, 0] = psi.entries[..., 0, 1]
-    system[..., 0, 1] = psi.entries[..., 1, 1]
-    system[..., 1, 0] = psi.entries[..., 0, 2]
-    system[..., 1, 1] = psi.entries[..., 1, 2]
-    dets = system[..., 0, 0] * system[..., 1, 1] - system[..., 0, 1] * system[..., 1, 0]
-    scale = np.abs(system).max(axis=(-2, -1)) ** 2 + _DEGENERATE
+    e = psi.entries
+    dets = e[..., 0, 1] * e[..., 1, 2] - e[..., 1, 1] * e[..., 0, 2]
+    scale = np.abs(e[..., :2, 1:]).max(axis=(-2, -1)) ** 2 + _DEGENERATE
     if np.any(np.abs(dets) <= 1e-13 * scale):
         raise SingularSystem("swap loading block numerically singular")
 
-    rhs = np.empty(batch + (2,))
-    for row, (idx, phi_i) in enumerate(zip((1, 2), (d.phi2, d.phi3))):
-        rhs[..., row] = (
-            z[..., idx]
-            - d.tri_inv[0, idx] * sigma_s * x
-            + phi_i * zeta_u * x ** 2
-        )
-    chi = np.linalg.solve(system, rhs[..., None])[..., 0]
-    return x, chi[..., 0], chi[..., 1]
-
+    r1 = z[..., 1] - d.tri_inv[0, 1] * sigma_s * x + d.phi2 * zeta_u * x ** 2
+    r2 = z[..., 2] - d.tri_inv[0, 2] * sigma_s * x + d.phi3 * zeta_u * x ** 2
+    chi1 = (r1 * e[..., 1, 2] - e[..., 1, 1] * r2) / dets
+    chi2 = (e[..., 0, 1] * r2 - e[..., 0, 2] * r1) / dets
+    return x, chi1, chi2

@@ -245,7 +245,7 @@ class TestSolve:
         hat = np.full((bundle.n_paths, bundle.n_nodes), 0.5)
         hat[:, -1] = 0.0
         term = terminal_condition(bundle, trunc, 100.0, 0.5, hat)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.5, 100.0),
+        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.5),
                                    term, config)
         diag = sol.diagnostics
         assert diag.smallness_ok

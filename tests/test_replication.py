@@ -207,7 +207,7 @@ class TestImpactError:
         hat = hat_solution(lin_bundle(cfg, 2000, 14), call_ramp(100.0, 100.0),
                            cfg.bsde_config())
         term = terminal_condition(bundle, hat.trunc, 20.0, 0.0, hat.x)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0, 20.0), term,
+        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term,
                                    cfg.bsde_config())
         from liqlab.bsde import hedge_from_solution
 
@@ -221,7 +221,7 @@ class TestImpactError:
         bundle = simulate_paths(params, cfg.time_grid(), 2000, seed=15)
         hat = hat_solution(bundle, call_ramp(100.0, 100.0), cfg.bsde_config())
         term = terminal_condition(bundle, hat.trunc, 20.0, 0.6, hat.x)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.6, 20.0), term,
+        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.6), term,
                                    cfg.bsde_config())
         from liqlab.bsde import hedge_from_solution
 

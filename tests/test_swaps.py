@@ -215,18 +215,6 @@ class TestInvertHedge:
                   + c2 * psi.entries[1, :])
         npt.assert_allclose(z, linear, rtol=1e-12)
 
-    def test_known_position_shortcut(self, default_params, default_grid):
-        psi = psi_matrix(0.1, 0.02, 0.05, 120.0, default_params,
-                         default_grid.t1, default_grid.t2)
-        sigma_s = np.sqrt(0.07) * 120.0
-        zeta_u = zeta_coeff(0.02, default_params)
-        z = exposure_from_hedge(1.5, 0.3, -0.7, psi, sigma_s, zeta_u, default_params)
-        x, c1, c2 = invert_hedge(z, psi, sigma_s, zeta_u, default_params,
-                                 x_already_known=1.5)
-        assert x == 1.5
-        assert c1 == pytest.approx(0.3, abs=1e-10)
-        assert c2 == pytest.approx(-0.7, abs=1e-10)
-
     def test_vanishing_price_scale_raises(self, default_params, default_grid):
         psi = psi_matrix(0.1, 0.02, 0.05, 120.0, default_params,
                          default_grid.t1, default_grid.t2)
