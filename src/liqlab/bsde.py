@@ -5,13 +5,16 @@ stopping time tau (first exit of price/volatility from [1/L, L]),
 
     Y_t = terminal + lambda * int_t^tau Lambda_u Z_{1,u}^2 du - int Z dB.
 
-The solver marches backward over the grid.  At each step the exposures
-are estimated by regressing Y_{k+1} * dB_j / dt on polynomial features of
-(S, U, V); the value is the regression of Y_{k+1} plus the driver term,
-with a Picard loop refreshing Z_1 through a control-variate re-estimate
-until the value stabilizes.  Stopped paths carry their value unchanged
-with zero exposures, which realizes the conditional expectation at tau
-through the tower property (no separate estimator).
+The solver marches backward over the grid.  Each step is one sequence of
+regressions on polynomial features of (S, U, V) over the paths still
+alive: the value Y_k from Y_{k+1}; Z_1 from the control-variate target
+(Y_{k+1} - Y_k) dB_1 / dt; when the driver is active, a Picard loop on
+(Y_k, Z_1) that adds lambda Lambda Z_1^2 dt to the value target until the
+value stabilizes; last, Z_2 and Z_3 once from the final value.  Stopped
+paths carry their value unchanged with zero exposures, which realizes
+the conditional expectation at tau through the tower property (no
+separate estimator); a run where every path stops at node 0 is flagged
+degenerate.
 
 Regressions use ridge-stabilized least squares on standardized features
 with an unpenalized intercept, so cross-path means are preserved exactly:
@@ -56,6 +59,8 @@ class BsdeConfig:
             raise InvalidParams("payoff truncation level n_trunc must be positive")
         if self.degree < 1:
             raise InvalidParams("basis degree must be at least 1")
+        if self.ridge < 0.0:
+            raise InvalidParams("ridge penalty must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,19 @@ def terminal_condition(
     values = x_units * payoff(s_tilde)
     return TerminalCondition(values=values, s_tilde=s_tilde, x_units=x_units,
                              payoff_bound=payoff.bound)
+
+
+def _alive_paths(tau: np.ndarray, k: int):
+    """Index and count of the paths alive at node k (tau > k).
+
+    The index is a slice when every path is alive (views, no gathers), a
+    boolean mask when some are, and None when none is.
+    """
+    alive = tau > k
+    n_alive = int(alive.sum())
+    if n_alive == alive.size:
+        return slice(None), n_alive
+    return (alive if n_alive else None), n_alive
 
 
 def _n_features(degree: int) -> int:
@@ -190,7 +208,7 @@ class BsdeSolution:
     y0_stderr: float
     xi: np.ndarray
     diagnostics: BsdeDiagnostics
-    degenerate: bool = False
+    degenerate: bool
     x: np.ndarray | None = None
     chi1: np.ndarray | None = None
     chi2: np.ndarray | None = None
@@ -219,36 +237,17 @@ def solve_quadratic_bsde(
     y[:, n_steps] = values
     xi = values.copy()
 
-    if np.all(tau == 0):
-        y[:, :] = values[:, None]
-        y0 = float(values.mean())
-        diag = BsdeDiagnostics(
-            alive_counts=np.zeros(n_steps, dtype=int),
-            cond_numbers=np.zeros(n_steps),
-            picard_deltas=[[] for _ in range(n_steps)],
-            lambda_bound=0.0, y_bound=abs(terminal.x_units) * terminal.payoff_bound,
-            max_abs_y=float(np.abs(values).max()), smallness_ok=True, bound_violated=False,
-        )
-        stderr = float(values.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-        return BsdeSolution(y=y, z=z, tau_index=tau, y0=y0, y0_stderr=stderr,
-                            xi=xi, diagnostics=diag, degenerate=True)
-
-    n_feat = _n_features(config.degree)
-    min_alive = max(config.min_paths_per_regression, n_feat)
+    min_alive = max(config.min_paths_per_regression, _n_features(config.degree))
     alive_counts = np.zeros(n_steps, dtype=int)
     cond_numbers = np.zeros(n_steps)
     picard_deltas: list = [[] for _ in range(n_steps)]
     lambda_bound = 0.0
 
     for k in range(n_steps - 1, -1, -1):
-        alive = tau > k
-        stopped = ~alive
-        y[stopped, k] = y[stopped, k + 1]
-        n_alive = int(alive.sum())
+        y[:, k] = y[:, k + 1]       # stopped paths carry their value
+        alive, n_alive = _alive_paths(tau, k)
         alive_counts[k] = n_alive
-        if n_alive == n_paths:
-            alive = slice(None)     # views instead of gathers
-        elif n_alive == 0:
+        if alive is None:
             continue
         if n_alive < min_alive:
             raise RegressionRankDeficient(
@@ -262,15 +261,12 @@ def solve_quadratic_bsde(
         cond_numbers[k] = solver.cond
         target = y[alive, k + 1]
         db_k = bundle.noise.db[alive, k, :]
-
-        y_proj = solver.fit(target)
         z_fit = np.empty((n_alive, 3))
-        for j in range(3):
-            z_fit[:, j] = solver.fit((target - y_proj) * db_k[:, j] / dt)
 
+        y_new = solver.fit(target)
+        z_fit[:, 0] = solver.fit((target - y_new) * db_k[:, 0] / dt)
         lam_vals = driver.lambda_vals[alive, k]
-        driver_active = driver.lam != 0.0 and np.any(lam_vals != 0.0)
-        if driver_active:
+        if driver.lam != 0.0 and np.any(lam_vals != 0.0):
             lambda_bound = max(lambda_bound, float(lam_vals.max()))
             y_new = solver.fit(target + driver.lam * lam_vals * z_fit[:, 0] ** 2 * dt)
             prev_delta = None
@@ -294,11 +290,9 @@ def solve_quadratic_bsde(
                 prev_delta = delta
                 if delta < config.picard_tol:
                     break
-            for j in (1, 2):
-                z_fit[:, j] = solver.fit((target - y_new) * db_k[:, j] / dt)
             xi[alive] += driver.lam * lam_vals * z_fit[:, 0] ** 2 * dt
-        else:
-            y_new = y_proj
+        for j in (1, 2):
+            z_fit[:, j] = solver.fit((target - y_new) * db_k[:, j] / dt)
 
         y[alive, k] = y_new
         z[alive, k, :] = z_fit
@@ -316,7 +310,7 @@ def solve_quadratic_bsde(
         bound_violated=bool(smallness_ok and max_abs_y > y_bound * (1 + 1e-9)),
     )
     return BsdeSolution(y=y, z=z, tau_index=tau, y0=y0, y0_stderr=stderr,
-                        xi=xi, diagnostics=diag)
+                        xi=xi, diagnostics=diag, degenerate=not alive_counts.any())
 
 
 def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolution:
@@ -333,10 +327,8 @@ def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolut
     chi1 = np.zeros((n_paths, n_nodes))
     chi2 = np.zeros((n_paths, n_nodes))
     for k in range(n_nodes):
-        alive = solution.tau_index > k
-        if alive.all():
-            alive = slice(None)     # views instead of gathers
-        elif not alive.any():
+        alive, _ = _alive_paths(solution.tau_index, k)
+        if alive is None:
             continue
         u_k = bundle.u[alive, k]
         v_k = bundle.v[alive, k]

@@ -177,8 +177,15 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"{pair[0]}.{pair[1]} must be one of {sorted(choices)}, got {val!r}"
                 )
+        for (section, key), val in self.values.items():
+            if isinstance(val, float) and not np.isfinite(val):
+                raise ValidationError(f"{section}.{key} must be finite, got {val!r}")
         if self.get("run", "n_paths") < 1:
             raise ValidationError("run.n_paths must be at least 1")
+        if self.get("run", "n_x") < 1:
+            raise ValidationError("run.n_x must be at least 1")
+        if self.get("run", "x0") == 0.0:
+            raise ValidationError("run.x0 must be nonzero")
         if experiment is not None and experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {experiment!r}")
         try:

@@ -72,12 +72,7 @@ def hat_solution(bundle_lin: PathBundle, payoff: Payoff, config: BsdeConfig) -> 
     return HatSolution(solution=sol, yhat0=sol.y0, yhat0_stderr=sol.y0_stderr, trunc=trunc)
 
 
-def h_prime_zero(
-    bundle: PathBundle,
-    hat: HatSolution,
-    lam: float,
-    params: ModelParams | None = None,
-):
+def h_prime_zero(bundle: PathBundle, hat: HatSolution, lam: float):
     """Monte Carlo estimate of the liquidity premium per unit at x = 0.
 
     Two terms: the accumulated depth drift weighted by the squared
@@ -85,13 +80,11 @@ def h_prime_zero(
     truncation band) times the delta-weighted depth turnover.  Both sums
     run to the stopping node, where the hedge is already zero.
     """
-    if params is None:
-        params = bundle.params
     if hat.trunc.base.derivative is None:
         raise MissingDerivative(f"payoff {hat.trunc.base.label} has no derivative")
     dt = bundle.grid.dt
     x_hat = hat.x[:, :-1]
-    term1 = lam * np.sum(mu_coeff(bundle.u[:, :-1], params) * x_hat ** 2, axis=1) * dt
+    term1 = lam * np.sum(mu_coeff(bundle.u[:, :-1], bundle.params) * x_hat ** 2, axis=1) * dt
     dm = np.diff(bundle.m, axis=1)
     s_term = bundle.s[:, -1]
     slope = hat.trunc.base.d(s_term) * (s_term <= hat.trunc.level)
@@ -200,7 +193,6 @@ def replication_cost_curve(
     n_paths: int,
     seed: int,
     config: BsdeConfig,
-    compute_impact: bool = True,
 ) -> ReplicationReport:
     """Run the full per-unit-cost experiment over a grid of unit counts."""
     xs = np.asarray(list(xs), dtype=float)
@@ -241,15 +233,11 @@ def replication_cost_curve(
         alive = np.arange(bundle.n_nodes)[None, :] < sol.tau_index[:, None]
         gap = (sol.x / x - hat.x)[alive]
         delta_l2.append(float(np.mean(gap ** 2)) if gap.size else 0.0)
-        if compute_impact:
-            mse, mse_err = impact_error(bundle, hat, sol, x, lam)
-            imp_errs.append(mse)
-            imp_stderrs.append(mse_err)
-        else:
-            imp_errs.append(float("nan"))
-            imp_stderrs.append(float("nan"))
+        mse, mse_err = impact_error(bundle, hat, sol, x, lam)
+        imp_errs.append(mse)
+        imp_stderrs.append(mse_err)
 
-    hp_an, hp_an_err = h_prime_zero(bundle, hat, lam, params)
+    hp_an, hp_an_err = h_prime_zero(bundle, hat, lam)
     order = np.argsort(np.abs(xs))
     x2 = float(xs[order[0]])
     if len(xs) >= 2:
@@ -269,7 +257,7 @@ def replication_cost_curve(
         hprime0_analytic=hp_an, hprime0_analytic_stderr=hp_an_err,
         hprime0_fd=hp_fd, hprime0_fd_stderr=hp_fd_err,
         h0_slope=_loglog_slope(np.abs(xs), np.abs(diff_means)),
-        impact_slope=_loglog_slope(np.abs(xs), imp_errs) if compute_impact else float("nan"),
+        impact_slope=_loglog_slope(np.abs(xs), imp_errs),
         smallness_warning=smallness_warning,
     )
     return report

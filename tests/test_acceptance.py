@@ -185,7 +185,6 @@ def curve3(default_cfg):
     return ll.replication_cost_curve(
         cfg.model_params(), cfg.time_grid(), cfg.payoff(),
         [X0, X0 / 2, X0 / 4], 100_000, 909, cfg.bsde_config(),
-        compute_impact=False,
     )
 
 
@@ -241,12 +240,12 @@ def test_criterion_8_derivative_formula(default_cfg, curve3):
     cfg0 = override(default_cfg, grid__n_steps=32, model__lambda_impact=0.0)
     r0 = ll.replication_cost_curve(cfg0.model_params(), cfg0.time_grid(),
                                    cfg0.payoff(), [50.0], 2000, 31,
-                                   cfg0.bsde_config(), compute_impact=False)
+                                   cfg0.bsde_config())
     assert r0.hprime0_analytic == 0.0
     cfg1 = override(default_cfg, grid__n_steps=32, model__epsilon=0.0)
     r1 = ll.replication_cost_curve(cfg1.model_params(), cfg1.time_grid(),
                                    cfg1.payoff(), [50.0], 2000, 32,
-                                   cfg1.bsde_config(), compute_impact=False)
+                                   cfg1.bsde_config())
     assert r1.hprime0_analytic == 0.0
     elapsed = time.monotonic() - t0
     _report(8, f"analytic {report.hprime0_analytic:.3e} vs finite-difference "

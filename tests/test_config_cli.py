@@ -114,6 +114,14 @@ class TestValidation:
         ("simulate", ["bsde.l_trunc=1"]),
         ("simulate", ["bsde.n_trunc=0"]),
         ("simulate", ["run.n_paths=0"]),
+        ("simulate", ["model.epsilon=nan"]),
+        ("simulate", ["model.epsilon=inf"]),
+        ("swaps", ["swaps.k1=nan"]),
+        ("swaps", ["grid.t1=nan"]),
+        ("bsde", ["bsde.ridge=nan"]),
+        ("bsde", ["bsde.ridge=-1"]),
+        ("replicate", ["run.n_x=0"]),
+        ("replicate", ["run.x0=0"]),
         ("bogus", []),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):

@@ -7,8 +7,9 @@ recorded before the writers were folded into `liqlab.table.write_table`.
 The solver subcommands run at 200 paths x 16 steps, where their hashes
 are the same with one and two BLAS threads: `bsde`, `bsde` with
 `bsde.l_trunc=5.2` (paths stop from step 1 on, so the stopped-path
-branch of the backward pass is hashed) and `replicate` with two unit
-counts (hat solve, two x-solves and the hedge inversion).
+branch of the backward pass is hashed), `bsde` with `bsde.l_trunc=1.01`
+(every path stops at node 0: the degenerate run) and `replicate` with two
+unit counts (hat solve, two x-solves and the hedge inversion).
 """
 
 import hashlib
@@ -27,6 +28,7 @@ ARGS = {
     "arbitrage-test": ["arbitrage-test", *SMALL],
     "bsde": ["bsde", *SOLVER],
     "bsde-stopping": ["bsde", "--set", "bsde.l_trunc=5.2", *SOLVER],
+    "bsde-degenerate": ["bsde", "--set", "bsde.l_trunc=1.01", *SOLVER],
     "replicate": ["replicate", "--set", "run.n_x=2", *SOLVER],
 }
 
@@ -86,6 +88,16 @@ SHA256 = {
             "114142921a9c3a9c231ce4eec9028948812c9292ace0c2c8e8b246156977bfef",
         "resolved.cfg":
             "c79f7068c60f6e0cb1f84d0262822ff5b9090bf91daab785db5969dd185b3a83",
+        "run_info.json":
+            "9675f88e0697035f9972ff21cf2a73fabc8cbad90b3666b4064ea238dba13c84",
+    },
+    "bsde-degenerate": {
+        "bsde_diagnostics.csv":
+            "d89c1fc117c62aa76b18e7377ed9bf33cd14705bf8f378ee91febf4bbfd49f6d",
+        "bsde_summary.json":
+            "2a95682fbbb8c1621d108e28c1f976ecdb027c25a04b740adf348d41e07a34d1",
+        "resolved.cfg":
+            "51b9a2ea8feec519e2aa3e3ed53a264845d222fd5579eea64451edf8d15f6bb5",
         "run_info.json":
             "9675f88e0697035f9972ff21cf2a73fabc8cbad90b3666b4064ea238dba13c84",
     },

@@ -152,8 +152,7 @@ class TestReplicationCostCurve:
         cfg = override(default_config, model__lambda_impact=0.0, grid__n_steps=32)
         report = replication_cost_curve(cfg.model_params(), cfg.time_grid(),
                                         call_ramp(100.0, 100.0), [50.0, 25.0],
-                                        3000, 11, cfg.bsde_config(),
-                                        compute_impact=False)
+                                        3000, 11, cfg.bsde_config())
         npt.assert_allclose(report.h0s, report.yhat0, rtol=1e-9)
         npt.assert_allclose(report.diff_means, 0.0, atol=1e-9)
         assert report.hprime0_analytic == 0.0
@@ -162,8 +161,7 @@ class TestReplicationCostCurve:
         cfg = override(default_config, model__epsilon=0.0, grid__n_steps=32)
         report = replication_cost_curve(cfg.model_params(), cfg.time_grid(),
                                         call_ramp(100.0, 100.0), [50.0],
-                                        3000, 12, cfg.bsde_config(),
-                                        compute_impact=False)
+                                        3000, 12, cfg.bsde_config())
         npt.assert_allclose(report.h0s, report.yhat0, rtol=1e-9)
 
     def test_linear_decay_and_impact_order(self, default_config):
