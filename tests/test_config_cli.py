@@ -114,6 +114,7 @@ class TestValidation:
         ("simulate", ["bsde.l_trunc=1"]),
         ("simulate", ["bsde.n_trunc=0"]),
         ("simulate", ["run.n_paths=0"]),
+        ("bogus", []),
         ("simulate", ["model.epsilon=nan"]),
         ("simulate", ["model.epsilon=inf"]),
         ("swaps", ["swaps.k1=nan"]),
@@ -122,7 +123,6 @@ class TestValidation:
         ("bsde", ["bsde.ridge=-1"]),
         ("replicate", ["run.n_x=0"]),
         ("replicate", ["run.x0=0"]),
-        ("bogus", []),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)
