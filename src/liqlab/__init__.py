@@ -77,6 +77,7 @@ from .bsde import (
     TerminalCondition,
     driver_state,
     hedge_from_solution,
+    solve_and_hedge,
     solve_quadratic_bsde,
     stopping_index,
     terminal_condition,

@@ -16,6 +16,19 @@ the conditional expectation at tau through the tower property (no
 separate estimator); a run where every path stops at node 0 is flagged
 degenerate.
 
+The design, Gram matrix, alive set and driver term of a step serve every
+target regressed at that step.  `solve_quadratic_bsde` runs the pass for
+one terminal and keeps the full Y and Z.  `solve_and_hedge` runs it once
+for several terminals on one bundle (the unit counts of a replication
+run) and one driver: each column keeps its own Picard stop, divergence
+counter, xi and running max |Y|, the hedge is inverted at each node while
+the step's exposures are live, and per column only the stock position X,
+xi, the estimate and the diagnostics are kept.  The fits stay one target
+at a time, so every column is bitwise what its own `solve_quadratic_bsde`
+plus `hedge_from_solution` gives.  The first failure in step order (rank
+deficiency, Picard divergence, a singular loading matrix) aborts the
+whole pass.
+
 Regressions use ridge-stabilized least squares on standardized features
 with an unpenalized intercept, so cross-path means are preserved exactly:
 the cross-path value at node 0 equals the plain Monte Carlo mean of the
@@ -25,6 +38,7 @@ terminal plus accumulated driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,14 +79,18 @@ class BsdeConfig:
 
 @dataclass(frozen=True)
 class DriverState:
-    """Quadratic-driver data: Lambda per node and impact fraction, for any unit count."""
+    """Quadratic-driver data: Lambda per node and impact fraction, for any unit count.
 
-    lambda_vals: np.ndarray
+    lambda_vals is None when lam = 0: the driver is off and Lambda is never read.
+    """
+
+    lambda_vals: np.ndarray | None
     lam: float
 
 
 def driver_state(bundle: PathBundle, lam: float) -> DriverState:
-    return DriverState(lambda_vals=driver_coefficient_paths(bundle), lam=lam)
+    return DriverState(lambda_vals=driver_coefficient_paths(bundle) if lam != 0.0 else None,
+                       lam=lam)
 
 
 @dataclass(frozen=True)
@@ -198,20 +216,141 @@ class BsdeSolution:
     """Value and exposure paths, recovered hedge, and run diagnostics.
 
     xi is the per-path estimator (terminal plus accumulated driver) whose
-    mean is y0; its spread gives the Monte Carlo standard error.
+    mean is y0; its spread gives the Monte Carlo standard error.  The runs
+    of `solve_and_hedge` keep only the stock position x of the hedge: their
+    y, z, chi1 and chi2 are None.
     """
 
-    y: np.ndarray
-    z: np.ndarray
     tau_index: np.ndarray
     y0: float
     y0_stderr: float
     xi: np.ndarray
     diagnostics: BsdeDiagnostics
     degenerate: bool
+    y: np.ndarray | None = None
+    z: np.ndarray | None = None
     x: np.ndarray | None = None
     chi1: np.ndarray | None = None
     chi2: np.ndarray | None = None
+
+
+class _Step(NamedTuple):
+    k: int
+    alive: slice | np.ndarray   # index of `_alive_paths`
+    n_alive: int
+    solver: _RidgeSolver
+    db: np.ndarray              # Brownian increments on the alive paths
+    drift: np.ndarray | None    # lam * Lambda on the alive paths; None when the driver is off
+
+
+class _BackwardPass:
+    """The regression basis of every step, shared by all target columns.
+
+    Iterating yields the steps k = n_steps - 1, ..., 0 that have alive
+    paths, each with its design built once; the pass records the alive
+    counts, condition numbers and largest Lambda on the way.
+    """
+
+    def __init__(self, bundle: PathBundle, driver: DriverState, config: BsdeConfig):
+        self.bundle, self.driver, self.config = bundle, driver, config
+        self.tau = stopping_index(bundle, config.l_trunc)
+        n_steps = bundle.n_nodes - 1
+        self.alive_counts = np.zeros(n_steps, dtype=int)
+        self.cond_numbers = np.zeros(n_steps)
+        self.lambda_bound = 0.0
+
+    def __iter__(self):
+        bundle, driver, config = self.bundle, self.driver, self.config
+        min_alive = max(config.min_paths_per_regression, _n_features(config.degree))
+        for k in range(len(self.alive_counts) - 1, -1, -1):
+            alive, n_alive = _alive_paths(self.tau, k)
+            self.alive_counts[k] = n_alive
+            if alive is None:
+                continue
+            if n_alive < min_alive:
+                raise RegressionRankDeficient(
+                    f"step {k}: {n_alive} alive paths < required {min_alive}",
+                    diagnostics={"step": k, "alive": n_alive, "required": min_alive},
+                )
+            design = _design(bundle.s[alive, k], bundle.u[alive, k], bundle.v[alive, k],
+                             config.degree)
+            solver = _RidgeSolver(design, config.ridge)
+            self.cond_numbers[k] = solver.cond
+            drift = None
+            if driver.lam != 0.0:
+                lam_vals = driver.lambda_vals[alive, k]
+                if np.any(lam_vals != 0.0):
+                    self.lambda_bound = max(self.lambda_bound, float(lam_vals.max()))
+                    drift = driver.lam * lam_vals
+            yield _Step(k, alive, n_alive, solver, bundle.noise.db[alive, k, :], drift)
+
+    def solution(self, terminal: TerminalCondition, y_node0: np.ndarray, xi: np.ndarray,
+                 picard_deltas: list, max_abs_y: float, **paths) -> BsdeSolution:
+        """The estimate and diagnostics of one column from its node-0 values and xi."""
+        n_paths = xi.shape[0]
+        y_bound = abs(terminal.x_units) * terminal.payoff_bound
+        smallness = self.driver.lam * 2.0 * self.lambda_bound * terminal.payoff_bound
+        smallness_ok = smallness * abs(terminal.x_units) < 0.5
+        diag = BsdeDiagnostics(
+            alive_counts=self.alive_counts, cond_numbers=self.cond_numbers,
+            picard_deltas=picard_deltas, lambda_bound=self.lambda_bound,
+            y_bound=y_bound, max_abs_y=max_abs_y, smallness_ok=smallness_ok,
+            bound_violated=bool(smallness_ok and max_abs_y > y_bound * (1 + 1e-9)),
+        )
+        return BsdeSolution(
+            tau_index=self.tau, y0=float(y_node0.mean()),
+            y0_stderr=float(xi.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0,
+            xi=xi, diagnostics=diag, degenerate=not self.alive_counts.any(), **paths)
+
+
+def _fit_step(step: _Step, target: np.ndarray, xi: np.ndarray, deltas: list,
+              config: BsdeConfig, dt: float):
+    """One column's fits at one step; returns the value and the (n_alive, 3) exposures.
+
+    Value, Z1, the Picard loop on (Y, Z1) when the driver is active (its
+    deltas appended to `deltas`, its driver term added to xi), then Z2 and
+    Z3 once from the final value.
+    """
+    solver, db_k, drift = step.solver, step.db, step.drift
+    z_fit = np.empty((step.n_alive, 3))
+    y_new = solver.fit(target)
+    z_fit[:, 0] = solver.fit((target - y_new) * db_k[:, 0] / dt)
+    if drift is not None:
+        y_new = solver.fit(target + drift * z_fit[:, 0] ** 2 * dt)
+        prev_delta = None
+        growing = 0
+        for _ in range(1, config.picard_iters):
+            z1 = solver.fit((target - y_new) * db_k[:, 0] / dt)
+            y_next = solver.fit(target + drift * z1 ** 2 * dt)
+            delta = float(np.abs(y_next - y_new).max())
+            deltas.append(delta)
+            z_fit[:, 0] = z1
+            y_new = y_next
+            if prev_delta is not None and delta > prev_delta:
+                growing += 1
+                if growing >= 3:
+                    raise PicardDiverged(
+                        f"step {step.k}: Picard deltas grew 3 times in a row",
+                        diagnostics={"step": step.k, "deltas": deltas},
+                    )
+            else:
+                growing = 0
+            prev_delta = delta
+            if delta < config.picard_tol:
+                break
+        xi[step.alive] += drift * z_fit[:, 0] ** 2 * dt
+    for j in (1, 2):
+        z_fit[:, j] = solver.fit((target - y_new) * db_k[:, j] / dt)
+    return y_new, z_fit
+
+
+def _terminal_values(bundle: PathBundle, terminal: TerminalCondition) -> np.ndarray:
+    values = np.asarray(terminal.values, dtype=float)
+    if values.shape != (bundle.n_paths,):
+        raise InvalidParams("terminal values must be one per path")
+    if not np.all(np.isfinite(values)):
+        raise InvalidParams("terminal values must be finite")
+    return values
 
 
 def solve_quadratic_bsde(
@@ -221,96 +360,78 @@ def solve_quadratic_bsde(
     config: BsdeConfig,
 ) -> BsdeSolution:
     """Backward pass over the grid; see the module docstring for the scheme."""
-    values = np.asarray(terminal.values, dtype=float)
-    if values.shape != (bundle.n_paths,):
-        raise InvalidParams("terminal values must be one per path")
-    if not np.all(np.isfinite(values)):
-        raise InvalidParams("terminal values must be finite")
-
-    n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    n_steps = n_nodes - 1
-    dt = bundle.grid.dt
-    tau = stopping_index(bundle, config.l_trunc)
-
-    y = np.empty((n_paths, n_nodes))
-    z = np.zeros((n_paths, n_nodes, 3))
-    y[:, n_steps] = values
+    values = _terminal_values(bundle, terminal)
+    backward = _BackwardPass(bundle, driver, config)
+    y = np.empty((bundle.n_paths, bundle.n_nodes))
+    y[:] = values[:, None]      # stopped paths carry the terminal value
+    z = np.zeros((bundle.n_paths, bundle.n_nodes, 3))
     xi = values.copy()
+    picard_deltas: list = [[] for _ in backward.alive_counts]
+    for step in backward:
+        y[step.alive, step.k], z[step.alive, step.k, :] = _fit_step(
+            step, y[step.alive, step.k + 1], xi, picard_deltas[step.k], config,
+            bundle.grid.dt)
+    return backward.solution(terminal, y[:, 0], xi, picard_deltas, float(np.abs(y).max()),
+                             y=y, z=z)
 
-    min_alive = max(config.min_paths_per_regression, _n_features(config.degree))
-    alive_counts = np.zeros(n_steps, dtype=int)
-    cond_numbers = np.zeros(n_steps)
-    picard_deltas: list = [[] for _ in range(n_steps)]
-    lambda_bound = 0.0
 
-    for k in range(n_steps - 1, -1, -1):
-        y[:, k] = y[:, k + 1]       # stopped paths carry their value
-        alive, n_alive = _alive_paths(tau, k)
-        alive_counts[k] = n_alive
-        if alive is None:
-            continue
-        if n_alive < min_alive:
-            raise RegressionRankDeficient(
-                f"step {k}: {n_alive} alive paths < required {min_alive}",
-                diagnostics={"step": k, "alive": n_alive, "required": min_alive},
-            )
+def solve_and_hedge(
+    bundle: PathBundle,
+    driver: DriverState,
+    terminals: list,
+    config: BsdeConfig,
+) -> list:
+    """One backward pass for several terminal conditions on one bundle and driver.
 
-        design = _design(bundle.s[alive, k], bundle.u[alive, k], bundle.v[alive, k],
-                         config.degree)
-        solver = _RidgeSolver(design, config.ridge)
-        cond_numbers[k] = solver.cond
-        target = y[alive, k + 1]
-        db_k = bundle.noise.db[alive, k, :]
-        z_fit = np.empty((n_alive, 3))
+    Each step builds its basis once and runs `solve_quadratic_bsde`'s fits
+    for every terminal column in turn; the node's loading matrix is built
+    once and one `invert_hedge` call inverts the stacked exposures.  Per
+    terminal it returns a `BsdeSolution` with the stock position x, xi, the
+    estimate and the diagnostics, bitwise those of `solve_quadratic_bsde`
+    then `hedge_from_solution`; y, z, chi1 and chi2 are not kept.  The
+    first failure in step order aborts the pass.
+    """
+    values = np.stack([_terminal_values(bundle, t) for t in terminals])
+    backward = _BackwardPass(bundle, driver, config)
+    hedge = _NodeHedge(bundle)
+    y = values.copy()           # each column's value at the node above the step
+    xi = values.copy()
+    max_abs_y = np.abs(values).max(axis=1)
+    x = np.zeros((len(terminals), bundle.n_paths, bundle.n_nodes))
+    picard_deltas = [[[] for _ in backward.alive_counts] for _ in terminals]
+    for step in backward:
+        z = np.empty((len(terminals), step.n_alive, 3))
+        for j, deltas in enumerate(picard_deltas):
+            y_new, z[j] = _fit_step(step, y[j][step.alive], xi[j], deltas[step.k], config,
+                                    bundle.grid.dt)
+            y[j][step.alive] = y_new
+            max_abs_y[j] = np.maximum(max_abs_y[j], np.abs(y_new).max())
+        x[:, step.alive, step.k] = hedge(step.k, step.alive, z)[0]
+    return [backward.solution(terminal, y[j], xi[j], picard_deltas[j], float(max_abs_y[j]),
+                              x=x[j])
+            for j, terminal in enumerate(terminals)]
 
-        y_new = solver.fit(target)
-        z_fit[:, 0] = solver.fit((target - y_new) * db_k[:, 0] / dt)
-        lam_vals = driver.lambda_vals[alive, k]
-        if driver.lam != 0.0 and np.any(lam_vals != 0.0):
-            lambda_bound = max(lambda_bound, float(lam_vals.max()))
-            y_new = solver.fit(target + driver.lam * lam_vals * z_fit[:, 0] ** 2 * dt)
-            prev_delta = None
-            growing = 0
-            for _ in range(1, config.picard_iters):
-                z1 = solver.fit((target - y_new) * db_k[:, 0] / dt)
-                y_next = solver.fit(target + driver.lam * lam_vals * z1 ** 2 * dt)
-                delta = float(np.abs(y_next - y_new).max())
-                picard_deltas[k].append(delta)
-                z_fit[:, 0] = z1
-                y_new = y_next
-                if prev_delta is not None and delta > prev_delta:
-                    growing += 1
-                    if growing >= 3:
-                        raise PicardDiverged(
-                            f"step {k}: Picard deltas grew 3 times in a row",
-                            diagnostics={"step": k, "deltas": picard_deltas[k]},
-                        )
-                else:
-                    growing = 0
-                prev_delta = delta
-                if delta < config.picard_tol:
-                    break
-            xi[alive] += driver.lam * lam_vals * z_fit[:, 0] ** 2 * dt
-        for j in (1, 2):
-            z_fit[:, j] = solver.fit((target - y_new) * db_k[:, j] / dt)
 
-        y[alive, k] = y_new
-        z[alive, k, :] = z_fit
+class _NodeHedge:
+    """Hedge inversion at one node: loading matrix, its degeneracy check, inversion."""
 
-    y0 = float(y[:, 0].mean())
-    stderr = float(xi.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    y_bound = abs(terminal.x_units) * terminal.payoff_bound
-    smallness = driver.lam * 2.0 * lambda_bound * terminal.payoff_bound
-    smallness_ok = smallness * abs(terminal.x_units) < 0.5
-    max_abs_y = float(np.abs(y).max())
-    diag = BsdeDiagnostics(
-        alive_counts=alive_counts, cond_numbers=cond_numbers,
-        picard_deltas=picard_deltas, lambda_bound=lambda_bound,
-        y_bound=y_bound, max_abs_y=max_abs_y, smallness_ok=smallness_ok,
-        bound_violated=bool(smallness_ok and max_abs_y > y_bound * (1 + 1e-9)),
-    )
-    return BsdeSolution(y=y, z=z, tau_index=tau, y0=y0, y0_stderr=stderr,
-                        xi=xi, diagnostics=diag, degenerate=not alive_counts.any())
+    def __init__(self, bundle: PathBundle):
+        self.bundle = bundle
+        self.maturities = bundle.grid.require_maturities()
+        self.times = bundle.grid.times()
+
+    def __call__(self, k: int, alive, z: np.ndarray):
+        """(X, chi1, chi2) on the alive paths at node k from exposures z (..., n_alive, 3)."""
+        bundle, params = self.bundle, self.bundle.params
+        u_k = bundle.u[alive, k]
+        v_k = bundle.v[alive, k]
+        s_k = bundle.s[alive, k]
+        psi = psi_matrix(self.times[k], u_k, v_k, s_k, params, *self.maturities)
+        if np.any(psi.degenerate):
+            raise SingularSystem(f"node {k}: degenerate loading matrix on an alive path")
+        sigma_s = bundle.sigma[alive, k] * s_k
+        zeta_u = zeta_coeff(u_k, params)
+        return invert_hedge(z, psi, sigma_s, zeta_u, params)
 
 
 def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolution:
@@ -319,27 +440,14 @@ def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolut
     The hedge is zero at and after the stopping node, which also encodes
     liquidation at maturity for paths that never stop.
     """
-    t1, t2 = bundle.grid.require_maturities()
-    params = bundle.params
-    times = bundle.grid.times()
-    n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    x = np.zeros((n_paths, n_nodes))
-    chi1 = np.zeros((n_paths, n_nodes))
-    chi2 = np.zeros((n_paths, n_nodes))
-    for k in range(n_nodes):
+    hedge = _NodeHedge(bundle)
+    x = np.zeros((bundle.n_paths, bundle.n_nodes))
+    chi1 = np.zeros((bundle.n_paths, bundle.n_nodes))
+    chi2 = np.zeros((bundle.n_paths, bundle.n_nodes))
+    for k in range(bundle.n_nodes):
         alive, _ = _alive_paths(solution.tau_index, k)
         if alive is None:
             continue
-        u_k = bundle.u[alive, k]
-        v_k = bundle.v[alive, k]
-        s_k = bundle.s[alive, k]
-        psi = psi_matrix(times[k], u_k, v_k, s_k, params, t1, t2)
-        if np.any(psi.degenerate):
-            raise SingularSystem(f"node {k}: degenerate loading matrix on an alive path")
-        sigma_s = bundle.sigma[alive, k] * s_k
-        zeta_u = zeta_coeff(u_k, params)
-        xk, c1, c2 = invert_hedge(solution.z[alive, k, :], psi, sigma_s, zeta_u, params)
-        x[alive, k] = xk
-        chi1[alive, k] = c1
-        chi2[alive, k] = c2
+        x[alive, k], chi1[alive, k], chi2[alive, k] = hedge(k, alive,
+                                                            solution.z[alive, k, :])
     return replace(solution, x=x, chi1=chi1, chi2=chi2)

@@ -24,6 +24,13 @@ import numpy as np
 # module's state would land above the noise array and pin the freed heap.
 from numpy.random import default_rng
 
+# numpy checks its caller with backtrace() on the first arithmetic on a
+# large temporary, and backtrace() loads libgcc_s.  Doing that here, before
+# any path array exists, keeps the loader's long-lived blocks below the
+# arrays, where they cannot pin freed heap.
+_ = -np.empty(1 << 15)      # 256 KiB: numpy's smallest elidable temporary
+del _
+
 from .errors import NotPositiveDefinite, NotSymmetric, InvalidParams, ZeroPaths
 
 _SYM_TOL = 1e-12

@@ -11,7 +11,16 @@ between the realized impacted terminal quote and the adjusted terminal
 price used in the payoff.
 
 All runs on one report share a single path bundle (common random
-numbers), so x-comparisons are paired and low-variance.
+numbers), so x-comparisons are paired and low-variance.  The hat problem
+is one `solve_quadratic_bsde` plus `hedge_from_solution`, which keeps its
+full value, exposures and hedge (its delta enters every x-terminal).  The
+x-runs are one joint backward pass, `solve_and_hedge`: one regression
+basis per step and one hedge inversion per node for all unit counts,
+keeping per x only the stock position, xi, the estimate and the solver
+diagnostics.  A failure in any x-run aborts the report; the first one in
+step order is raised.  Rank deficiency and a singular loading matrix
+surface in the hat solve first, since its alive sets and loading
+matrices are those of the x-runs.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .bsde import (
     BsdeSolution,
     driver_state,
     hedge_from_solution,
+    solve_and_hedge,
     solve_quadratic_bsde,
     terminal_condition,
 )
@@ -214,15 +224,13 @@ def replication_cost_curve(
     per_path_diffs = {}
     smallness_warning = False
 
-    driver = driver_state(bundle, lam)
-    for x in xs:
-        terminal = terminal_condition(bundle, hat.trunc, x, lam, hat.x)
-        sol = solve_quadratic_bsde(bundle, driver, terminal, config)
+    terminals = [terminal_condition(bundle, hat.trunc, x, lam, hat.x) for x in xs]
+    runs = solve_and_hedge(bundle, driver_state(bundle, lam), terminals, config)
+    for x, sol in zip(xs, runs):
         if not sol.diagnostics.smallness_ok:
             smallness_warning = True
             warnings.warn(f"x = {x:g} outside the contraction smallness regime",
                           RuntimeWarning, stacklevel=2)
-        sol = hedge_from_solution(sol, bundle)
         y0s.append(sol.y0)
         h0s.append(sol.y0 / x)
         h0_errs.append(sol.y0_stderr / abs(x))

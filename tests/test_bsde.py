@@ -12,6 +12,7 @@ from liqlab import (
     hedge_from_solution,
     identity_payoff,
     simulate_paths,
+    solve_and_hedge,
     solve_quadratic_bsde,
     stopping_index,
     swap_price_paths,
@@ -323,6 +324,57 @@ class TestHedge:
         assert abs(err.mean()) < 3 * err.std(ddof=1) / np.sqrt(err.shape[0]) + allowance
 
 
+def _unit_count_runs(cfg, n_paths, xs):
+    """A bundle, its active driver and one impact-adjusted terminal per unit count."""
+    params = cfg.model_params()
+    bundle = simulate_paths(params, cfg.time_grid(), n_paths, seed=3)
+    config = cfg.bsde_config()
+    trunc = truncate_payoff(cfg.payoff(), config.n_trunc)
+    lam = params.lambda_impact
+    hat = np.full((bundle.n_paths, bundle.n_nodes), 0.5)
+    hat[:, -1] = 0.0
+    terminals = [terminal_condition(bundle, trunc, x, lam, hat) for x in xs]
+    return bundle, driver_state(bundle, lam), terminals, config
+
+
+class TestJointPass:
+    """One backward pass for several unit counts equals one solve and one
+    hedge inversion per unit count, bitwise."""
+
+    @pytest.mark.parametrize("l_trunc, regime", [
+        (50.0, "all alive"), (5.2, "some stopped"), (1.01, "degenerate")])
+    def test_equals_separate_solves(self, default_config, l_trunc, regime):
+        cfg = override(default_config, grid__n_steps=16, bsde__l_trunc=l_trunc)
+        bundle, driver, terminals, config = _unit_count_runs(cfg, 300, (200.0, 50.0, -25.0))
+        runs = solve_and_hedge(bundle, driver, terminals, config)
+        assert len(runs) == len(terminals)
+        for terminal, run in zip(terminals, runs):
+            sol = hedge_from_solution(
+                solve_quadratic_bsde(bundle, driver, terminal, config), bundle)
+            npt.assert_array_equal(run.x, sol.x)
+            npt.assert_array_equal(run.xi, sol.xi)
+            npt.assert_array_equal(run.tau_index, sol.tau_index)
+            assert (run.y0, run.y0_stderr, run.degenerate) == (
+                sol.y0, sol.y0_stderr, sol.degenerate)
+            got, want = run.diagnostics, sol.diagnostics
+            npt.assert_array_equal(got.alive_counts, want.alive_counts)
+            npt.assert_array_equal(got.cond_numbers, want.cond_numbers)
+            assert got.picard_deltas == want.picard_deltas
+            assert (got.lambda_bound, got.y_bound, got.max_abs_y) == (
+                want.lambda_bound, want.y_bound, want.max_abs_y)
+            assert (got.smallness_ok, got.bound_violated) == (
+                want.smallness_ok, want.bound_violated)
+            assert run.y is None and run.z is None and run.chi1 is None
+        alive = runs[0].diagnostics.alive_counts
+        if regime == "all alive":
+            assert (alive == bundle.n_paths).all()
+            assert any(runs[0].diagnostics.picard_deltas), "driver should be active"
+        elif regime == "some stopped":
+            assert alive[1] < bundle.n_paths and alive.min() > 0
+        else:
+            assert runs[0].degenerate
+
+
 def _traced_peak(fn):
     """fn() and the peak of traced allocations above the level at its start."""
     tracemalloc.start()
@@ -355,3 +407,11 @@ class TestMemory:
         sol, hedge_peak = _traced_peak(lambda: hedge_from_solution(sol, bundle))
         hedge_bytes = sol.x.nbytes + sol.chi1.nbytes + sol.chi2.nbytes
         assert hedge_peak <= 1.5 * hedge_bytes
+
+    def test_joint_pass_peak(self, default_config):
+        xs = (200.0, 100.0, 50.0, 25.0)
+        bundle, driver, terminals, config = _unit_count_runs(default_config, 2000, xs)
+        runs, peak = _traced_peak(lambda: solve_and_hedge(bundle, driver, terminals, config))
+        # per unit count the pass keeps X and xi; z lives one node at a time
+        kept = sum(run.x.nbytes + run.xi.nbytes for run in runs) + runs[0].tau_index.nbytes
+        assert peak <= 1.5 * kept

@@ -200,6 +200,24 @@ class TestInvertHedge:
         npt.assert_allclose(c1r, c1, atol=1e-10)
         npt.assert_allclose(c2r, c2, atol=1e-10)
 
+    def test_stacked_exposures_equal_column_calls(self, default_params, default_grid):
+        # the joint backward pass inverts all unit counts' exposures at a
+        # node in one call, shape (m, n, 3), against one loading matrix
+        rng = np.random.default_rng(9)
+        n = 400
+        u = rng.uniform(0.01, 0.2, n)
+        s = rng.uniform(30, 300, n)
+        psi = psi_matrix(0.3, u, rng.uniform(0.01, 0.2, n), s, default_params,
+                         default_grid.t1, default_grid.t2)
+        sigma_s = np.sqrt(u + 0.05) * s
+        zeta_u = zeta_coeff(u, default_params)
+        z = rng.normal(0, 50, (4, n, 3))
+        stacked = invert_hedge(z, psi, sigma_s, zeta_u, default_params)
+        for j in range(z.shape[0]):
+            column = invert_hedge(z[j], psi, sigma_s, zeta_u, default_params)
+            for got, want in zip(stacked, column):
+                npt.assert_array_equal(got[j], want)
+
     def test_zero_illiquidity_reduces_to_linear_map(self, default_config, default_grid):
         # epsilon = 0 makes the quadratic term vanish: Z is linear in the
         # positions and given by the plain loading map
