@@ -21,13 +21,14 @@ target regressed at that step.  `solve_quadratic_bsde` runs the pass for
 one terminal and keeps the full Y and Z.  `solve_and_hedge` runs it once
 for several terminals on one bundle (the unit counts of a replication
 run) and one driver: each column keeps its own Picard stop, divergence
-counter, xi and running max |Y|, the hedge is inverted at each node while
-the step's exposures are live, and per column only the stock position X,
-xi, the estimate and the diagnostics are kept.  The fits stay one target
-at a time, so every column is bitwise what its own `solve_quadratic_bsde`
-plus `hedge_from_solution` gives.  The first failure in step order (rank
-deficiency, Picard divergence, a singular loading matrix) aborts the
-whole pass.
+counter, xi and running max |Y|, the stock position X is recovered at
+each node while the step's exposures are live (after the full hedge
+invertibility checks; the swap positions are not formed), and per
+column only X, xi, the estimate and the diagnostics are kept.  The fits
+stay one target at a time, so every column is bitwise what its own
+`solve_quadratic_bsde` plus `hedge_from_solution` gives.  The first
+failure in step order (rank deficiency, Picard divergence, a singular
+loading matrix) aborts the whole pass.
 
 Regressions use ridge-stabilized least squares on standardized features
 with an unpenalized intercept, so cross-path means are preserved exactly:
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .market import PathBundle, driver_coefficient_paths, zeta_coeff
 from .payoffs import TruncatedPayoff
-from .swaps import invert_hedge, psi_matrix
+from .swaps import hedge_denominators, invert_hedge, psi_matrix
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,8 @@ def solve_and_hedge(
 
     Each step builds its basis once and runs `solve_quadratic_bsde`'s fits
     for every terminal column in turn; the node's loading matrix is built
-    once and one `invert_hedge` call inverts the stacked exposures.  Per
+    once, `invert_hedge`'s invertibility checks run once on the stacked
+    exposures, and only their stock positions are formed.  Per
     terminal it returns a `BsdeSolution` with the stock position x, xi, the
     estimate and the diagnostics, bitwise those of `solve_quadratic_bsde`
     then `hedge_from_solution`; y, z, chi1 and chi2 are not kept.  The
@@ -406,7 +408,7 @@ def solve_and_hedge(
                                     bundle.grid.dt)
             y[j][step.alive] = y_new
             max_abs_y[j] = np.maximum(max_abs_y[j], np.abs(y_new).max())
-        x[:, step.alive, step.k] = hedge(step.k, step.alive, z)[0]
+        x[:, step.alive, step.k] = hedge.stock(step.k, step.alive, z)
     return [backward.solution(terminal, y[j], xi[j], picard_deltas[j], float(max_abs_y[j]),
                               x=x[j])
             for j, terminal in enumerate(terminals)]
@@ -420,18 +422,28 @@ class _NodeHedge:
         self.maturities = bundle.grid.require_maturities()
         self.times = bundle.grid.times()
 
-    def __call__(self, k: int, alive, z: np.ndarray):
-        """(X, chi1, chi2) on the alive paths at node k from exposures z (..., n_alive, 3)."""
-        bundle, params = self.bundle, self.bundle.params
+    def _node(self, k: int, alive):
+        """Loading matrix and sigma * S on the alive paths at node k, u there too."""
+        bundle = self.bundle
         u_k = bundle.u[alive, k]
-        v_k = bundle.v[alive, k]
         s_k = bundle.s[alive, k]
-        psi = psi_matrix(self.times[k], u_k, v_k, s_k, params, *self.maturities)
+        psi = psi_matrix(self.times[k], u_k, bundle.v[alive, k], s_k, bundle.params,
+                         *self.maturities)
         if np.any(psi.degenerate):
             raise SingularSystem(f"node {k}: degenerate loading matrix on an alive path")
-        sigma_s = bundle.sigma[alive, k] * s_k
-        zeta_u = zeta_coeff(u_k, params)
-        return invert_hedge(z, psi, sigma_s, zeta_u, params)
+        return psi, bundle.sigma[alive, k] * s_k, u_k
+
+    def __call__(self, k: int, alive, z: np.ndarray):
+        """(X, chi1, chi2) on the alive paths at node k from exposures z (..., n_alive, 3)."""
+        params = self.bundle.params
+        psi, sigma_s, u_k = self._node(k, alive)
+        return invert_hedge(z, psi, sigma_s, zeta_coeff(u_k, params), params)
+
+    def stock(self, k: int, alive, z: np.ndarray) -> np.ndarray:
+        """X alone, after the same invertibility checks as __call__."""
+        psi, sigma_s, _ = self._node(k, alive)
+        denom, _ = hedge_denominators(psi, sigma_s, self.bundle.params)
+        return z[..., 0] / denom
 
 
 def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolution:

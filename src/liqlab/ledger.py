@@ -11,6 +11,20 @@ corresponding instrument.  The cash account can be computed two ways:
 
 The two agree path by path, node by node, up to float accumulation; the
 discrepancy is reported so the identity stays an executable check.
+
+cash_decomposed builds both forms in one pass.  The trades dX, the
+depth-weighted trades M dX and their running sum (the quote displacement)
+are computed once and serve the quotes, the trade-by-trade cash and the
+liquidation value; each attribution term is one running sum written into
+its report array, and the sums keep the order y0 + gains + impact term +
+quadratic cost (+ swap terms) - liquidation value.  A 1-d position profile
+is differenced as 1-d and broadcast afterwards.  cash_direct and
+order_book.impacted_quote_path go through the same helpers, so each
+formula exists once.
+
+arbitrage_harness takes each strategy's terminal gain from the last report
+columns, in the order of LedgerReport.gain_paths, and drops the report
+before it builds the next, so one report is alive at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +36,15 @@ import numpy as np
 from .errors import GridMismatch, InvalidParams, NotSubmartingaleParams
 from .market import ModelParams, PathBundle, simulate_paths
 from .noise import TimeGrid
-from .order_book import ImpactedQuotePath, impacted_quote_path, positions_2d
+from .order_book import (
+    ImpactedQuotePath,
+    check_impact_fraction,
+    positions,
+    positions_2d,
+    pre_trade_quote,
+    quote_shift,
+    trade_flow,
+)
 from .table import grid_index, write_table
 
 
@@ -73,8 +95,7 @@ class SwapLiquidity:
         if self.m1 <= 0 or self.m2 <= 0:
             raise InvalidParams("swap curve slopes must be positive")
         for lam in (self.l1, self.l2):
-            if not (0.0 <= lam <= 1.0):
-                raise InvalidParams("swap impact fractions must lie in [0,1]")
+            check_impact_fraction(lam)
 
 
 @dataclass(frozen=True)
@@ -98,14 +119,24 @@ class LedgerReport:
         """Running decomposed gain (the admissibility process)."""
         return self.gains + self.impact_term + self.quad_cost + self.swap_gains + self.swap_quad
 
+    def terminal_gain(self) -> np.ndarray:
+        """gain_paths()[:, -1], summed in the same order from the last columns only."""
+        return (self.gains[:, -1] + self.impact_term[:, -1] + self.quad_cost[:, -1]
+                + self.swap_gains[:, -1] + self.swap_quad[:, -1])
 
-def liquidation_value(x, quote_post, m, lam):
-    """Cash from closing x shares by a continuous finite-variation unwind."""
-    return x * (quote_post - lam * m * x)
+
+def liquidation_value(x, quote_post, m, lam, out=None):
+    """Cash from closing x shares by a continuous finite-variation unwind.
+
+    With out given (it may be quote_post itself) the value is written there.
+    """
+    value = np.subtract(quote_post, lam * m * x, out=out)
+    return np.multiply(x, value, out=out)
 
 
-def _swap_legs(strategy, bundle, swaps, swap_prices):
-    """Per-leg (positions, prices, slope, impact fraction), empty when unused."""
+def _swap_legs(strategy, bundle, swaps, swap_prices) -> list:
+    """Per leg (positions, trades, prices, slope, impact fraction, quote
+    displacement), empty when unused."""
     if not strategy.has_swaps():
         return []
     if swaps is None or swap_prices is None:
@@ -115,8 +146,28 @@ def _swap_legs(strategy, bundle, swaps, swap_prices):
         prices = np.asarray(swap_prices[leg - 1], dtype=float)
         if prices.shape != (bundle.n_paths, bundle.n_nodes):
             raise GridMismatch("swap price paths do not match the bundle grid")
-        legs.append((strategy.swap(leg, bundle.n_paths, bundle.n_nodes), prices, m_slope, lam))
+        pos = strategy.swap(leg, bundle.n_paths, bundle.n_nodes)
+        dpos = np.diff(pos, axis=1, prepend=0.0)
+        legs.append((pos, dpos, prices, m_slope, lam, quote_shift(dpos, lam, m_slope)))
     return legs
+
+
+def _trade_cost(pre, d, m_d) -> np.ndarray:
+    """Outlay d * (pre + M d) of trades d at pre-trade quotes pre, written over pre."""
+    pre += m_d
+    pre *= d
+    return pre
+
+
+def _cash(y0: float, cost: np.ndarray, legs) -> np.ndarray:
+    """y0 minus the running sum of the stock outlay cost and every swap leg's outlay.
+
+    The cash path is written over cost.
+    """
+    for _, dpos, prices, m_slope, _, shift in legs:
+        cost += _trade_cost(pre_trade_quote(prices, shift), dpos, m_slope * dpos)
+    np.cumsum(cost, axis=1, out=cost)
+    return np.subtract(y0, cost, out=cost)
 
 
 def cash_direct(
@@ -132,18 +183,23 @@ def cash_direct(
     trades are priced the same way on their own impacted constant-slope
     curves.
     """
-    x = strategy.stock(bundle.n_paths, bundle.n_nodes)
-    if quotes.s0_pre.shape != x.shape:
+    x = positions(strategy.x, bundle.n_paths, bundle.n_nodes)
+    if quotes.s0_pre.shape != (bundle.n_paths, bundle.n_nodes):
         raise GridMismatch("quotes do not match the strategy grid")
-    dx = np.diff(x, axis=1, prepend=0.0)
-    cost = dx * (quotes.s0_pre + bundle.m * dx)
-    for pos, prices, m_slope, lam in _swap_legs(strategy, bundle, swaps, swap_prices):
-        dpos = np.diff(pos, axis=1, prepend=0.0)
-        impact = 2.0 * lam * m_slope * np.cumsum(dpos, axis=1)
-        pre = prices.copy()
-        pre[:, 1:] += impact[:, :-1]
-        cost += dpos * (pre + m_slope * dpos)
-    return strategy.y0 - np.cumsum(cost, axis=1)
+    dx, m_dx = trade_flow(bundle.m, x)
+    cost = _trade_cost(quotes.s0_pre.copy(), dx, m_dx)
+    return _cash(strategy.y0, cost, _swap_legs(strategy, bundle, swaps, swap_prices))
+
+
+def _running_integral(weight, path) -> np.ndarray:
+    """Left-point sums of weight * d(path) over the steps, 0 at node 0."""
+    out = np.empty(path.shape)
+    out[:, 0] = 0.0
+    steps = out[:, 1:]
+    np.subtract(path[:, 1:], path[:, :-1], out=steps)
+    steps *= weight
+    np.cumsum(steps, axis=1, out=steps)
+    return out
 
 
 def cash_decomposed(
@@ -155,40 +211,54 @@ def cash_decomposed(
 ) -> LedgerReport:
     """Cash path reconstructed from the gains/impact/quadratic attribution.
 
-    Also runs cash_direct on internally generated quotes and reports the
-    maximum relative discrepancy between the two forms.
+    Also builds the cash_direct path from the same trades, depth-weighted
+    trades and quote displacement, and reports the maximum relative
+    discrepancy between the two forms.  Each term is one pass written into
+    the report's own array.
     """
     if lam is None:
         lam = bundle.params.lambda_impact
+    check_impact_fraction(lam)
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    x = strategy.stock(n_paths, n_nodes)
-    dx = np.diff(x, axis=1, prepend=0.0)
+    s, m = bundle.s, bundle.m
+    x = positions(strategy.x, n_paths, n_nodes)
+    legs = _swap_legs(strategy, bundle, swaps, swap_prices)
+    dx, m_dx = trade_flow(m, x)
+    x_prev = x[..., :-1]
 
-    ds = np.diff(bundle.s, axis=1)
-    dm = np.diff(bundle.m, axis=1)
-    gains = np.zeros((n_paths, n_nodes))
-    impact_term = np.zeros((n_paths, n_nodes))
-    gains[:, 1:] = np.cumsum(x[:, :-1] * ds, axis=1)
-    impact_term[:, 1:] = -lam * np.cumsum(x[:, :-1] ** 2 * dm, axis=1)
-    quad_cost = -(1.0 - lam) * np.cumsum(bundle.m * dx ** 2, axis=1)
+    gains = _running_integral(x_prev, s)
+    impact_term = _running_integral(x_prev ** 2, m)
+    impact_term[:, 1:] *= -lam
 
-    quotes = impacted_quote_path(bundle, x, lam)
-    liq = liquidation_value(x, quotes.s0_post, bundle.m, lam)
+    quad_cost = m * dx ** 2
+    np.cumsum(quad_cost, axis=1, out=quad_cost)
+    quad_cost *= -(1.0 - lam)
+
+    shift = quote_shift(m_dx, lam)
+    y_dir = _cash(strategy.y0, _trade_cost(pre_trade_quote(s, shift), dx, m_dx), legs)
+    liq = liquidation_value(x, np.add(s, shift, out=shift), m, lam, out=shift)
 
     swap_gains = np.zeros((n_paths, n_nodes))
     swap_quad = np.zeros((n_paths, n_nodes))
-    for pos, prices, m_slope, leg_lam in _swap_legs(strategy, bundle, swaps, swap_prices):
-        dpos = np.diff(pos, axis=1, prepend=0.0)
-        dg = np.diff(prices, axis=1)
-        swap_gains[:, 1:] += np.cumsum(pos[:, :-1] * dg, axis=1)
+    for pos, dpos, prices, m_slope, leg_lam, leg_shift in legs:
+        swap_gains += _running_integral(pos[:, :-1], prices)
         swap_quad += -(1.0 - leg_lam) * m_slope * np.cumsum(dpos ** 2, axis=1)
-        post = prices + 2.0 * leg_lam * m_slope * np.cumsum(dpos, axis=1)
-        liq += liquidation_value(pos, post, m_slope, leg_lam)
+        liq += liquidation_value(pos, prices + leg_shift, m_slope, leg_lam)
 
-    y_dec = strategy.y0 + gains + impact_term + quad_cost + swap_gains + swap_quad - liq
-    y_dir = cash_direct(strategy, quotes, bundle, swaps, swap_prices)
-    scale = max(1.0, float(np.abs(y_dir).max()))
-    disc = float(np.abs(y_dir - y_dec).max() / scale)
+    # y0 + 0.0 turns a -0.0 into +0.0, which is all that adding the +0.0
+    # swap columns of a stock-only strategy would change.
+    y_dec = np.add(strategy.y0 + 0.0, gains)
+    y_dec += impact_term
+    y_dec += quad_cost
+    if legs:
+        y_dec += swap_gains
+        y_dec += swap_quad
+    y_dec -= liq
+
+    scratch = m_dx
+    scale = max(1.0, float(np.abs(y_dir, out=scratch).max()))
+    np.abs(np.subtract(y_dir, y_dec, out=scratch), out=scratch)
+    disc = float(scratch.max() / scale)
     return LedgerReport(
         y_direct=y_dir, y_decomposed=y_dec, gains=gains, impact_term=impact_term,
         quad_cost=quad_cost, swap_gains=swap_gains, swap_quad=swap_quad,
@@ -236,11 +306,7 @@ def arbitrage_harness(
     bundle = simulate_paths(params, grid, n_paths, seed)
     means, errs, labels = [], [], []
     for i, entry in enumerate(strategy_family):
-        strategy = entry(bundle) if callable(entry) else entry
-        if not strategy.is_closed(bundle.n_paths, bundle.n_nodes):
-            raise InvalidParams(f"harness strategy {i} is not closed")
-        report = cash_decomposed(strategy, bundle)
-        z_t = report.gain_paths()[:, -1]
+        z_t = _terminal_gain(entry, bundle, i)
         means.append(float(z_t.mean()))
         errs.append(float(z_t.std(ddof=1) / np.sqrt(n_paths)))
         labels.append(getattr(entry, "label", f"strategy_{i}"))
@@ -248,6 +314,14 @@ def arbitrage_harness(
     errs = np.array(errs)
     violates = bool(np.any(means - 3.0 * errs > 0.0))
     return HarnessResult(means=means, stderrs=errs, violates=violates, labels=labels)
+
+
+def _terminal_gain(entry, bundle: PathBundle, i: int) -> np.ndarray:
+    """Terminal decomposed gain of one family entry; its ledger report dies on return."""
+    strategy = entry(bundle) if callable(entry) else entry
+    if not strategy.is_closed(bundle.n_paths, bundle.n_nodes):
+        raise InvalidParams(f"harness strategy {i} is not closed")
+    return cash_decomposed(strategy, bundle).terminal_gain()
 
 
 def round_trip_family(grid: TimeGrid, n_strategies: int, base_size: float, seed: int):

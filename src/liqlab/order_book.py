@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateState, GridMismatch
+from .errors import DegenerateState, GridMismatch, InvalidParams
 from .table import grid_index, write_table
 
 _DEPTH_FLOOR = 0.0
@@ -55,16 +55,53 @@ class ImpactedQuotePath:
     s0_post: np.ndarray
 
 
-def positions_2d(x, n_paths: int, n_nodes: int) -> np.ndarray:
-    """Normalize a position path to (n_paths, n_nodes), broadcasting a 1-d profile."""
+def positions(x, n_paths: int, n_nodes: int) -> np.ndarray:
+    """A position path checked against the grid: a 1-d profile or (n_paths, n_nodes)."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         if x.shape[0] != n_nodes:
             raise GridMismatch(f"position path has {x.shape[0]} nodes, grid has {n_nodes}")
-        return np.broadcast_to(x, (n_paths, n_nodes))
-    if x.shape != (n_paths, n_nodes):
+    elif x.shape != (n_paths, n_nodes):
         raise GridMismatch(f"position array {x.shape} does not match ({n_paths}, {n_nodes})")
     return x
+
+
+def positions_2d(x, n_paths: int, n_nodes: int) -> np.ndarray:
+    """Normalize a position path to (n_paths, n_nodes), broadcasting a 1-d profile."""
+    return np.broadcast_to(positions(x, n_paths, n_nodes), (n_paths, n_nodes))
+
+
+def check_impact_fraction(lam) -> None:
+    """Reject a persistent-impact fraction that is non-finite or outside [0, 1]."""
+    if not (0.0 <= lam <= 1.0):
+        raise InvalidParams(f"impact fraction lambda must lie in [0,1], got {lam!r}")
+
+
+def trade_flow(m, x):
+    """Trades dX (the node-0 trade jumps from flat) and depth-weighted trades M dX.
+
+    A 1-d profile is differenced as 1-d; M dX has the shape of M.
+    """
+    dx = np.diff(x, axis=-1, prepend=0.0)
+    return dx, m * dx
+
+
+def quote_shift(trades, lam: float, slope: float = 1.0) -> np.ndarray:
+    """Cumulative quote displacement after the node-k trade.
+
+    2 lambda * sum_{i<=k} M_i dX_i from depth-weighted stock trades, or
+    2 lambda M * sum_{i<=k} dchi_i for a curve of constant slope M.
+    """
+    shift = np.cumsum(trades, axis=1)
+    shift *= 2.0 * lam * slope
+    return shift
+
+
+def pre_trade_quote(s, shift) -> np.ndarray:
+    """Quote seen by the node-k trade: s plus the displacement through node k - 1."""
+    pre = s.copy()
+    pre[:, 1:] += shift[:, :-1]
+    return pre
 
 
 def impacted_quote_path(bundle, strategy, lam: float) -> ImpactedQuotePath:
@@ -75,14 +112,10 @@ def impacted_quote_path(bundle, strategy, lam: float) -> ImpactedQuotePath:
     convention (M at the left node plus the covariation of depth and
     position over the step ending at the trade).
     """
-    x = getattr(strategy, "x", strategy)
-    x = positions_2d(x, bundle.n_paths, bundle.n_nodes)
-    dx = np.diff(x, axis=1, prepend=0.0)          # node-0 trade jumps from flat
-    impact = 2.0 * lam * np.cumsum(bundle.m * dx, axis=1)
-    s0_post = bundle.s + impact
-    s0_pre = bundle.s.copy()
-    s0_pre[:, 1:] += impact[:, :-1]
-    return ImpactedQuotePath(s0_pre=s0_pre, s0_post=s0_post)
+    check_impact_fraction(lam)
+    x = positions(getattr(strategy, "x", strategy), bundle.n_paths, bundle.n_nodes)
+    shift = quote_shift(trade_flow(bundle.m, x)[1], lam)
+    return ImpactedQuotePath(s0_pre=pre_trade_quote(bundle.s, shift), s0_post=bundle.s + shift)
 
 
 def export_quotes_csv(bundle, quotes: ImpactedQuotePath, strategy, path) -> None:

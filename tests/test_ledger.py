@@ -253,3 +253,15 @@ def test_ledger_csv_export(tmp_path, default_config):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("path,step,t,X,chi1,chi2,Y,")
     assert len(lines) == 1 + 2 * 5
+
+
+@pytest.mark.parametrize("lam", [1.5, -0.1, float("nan"), float("inf")])
+def test_impact_fraction_outside_unit_interval_rejected(default_config, lam):
+    # lam = 1.5 used to give a positive "quadratic cost", lam = nan NaN everywhere
+    cfg = override(default_config, grid__n_steps=8)
+    bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 4, seed=1)
+    x = np.linspace(0.0, 1.0, bundle.n_nodes)
+    with pytest.raises(InvalidParams):
+        cash_decomposed(Strategy(x=x), bundle, lam=lam)
+    with pytest.raises(InvalidParams):
+        impacted_quote_path(bundle, x, lam)

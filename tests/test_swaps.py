@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from liqlab import (
+    PsiMatrix,
     SwapSpec,
     TimeGrid,
     exposure_from_hedge,
@@ -23,6 +24,7 @@ from liqlab.errors import (
     SingularSystem,
 )
 from liqlab.market import zeta_coeff
+from liqlab.swaps import hedge_denominators
 
 from conftest import override
 
@@ -247,6 +249,38 @@ class TestInvertHedge:
                          default_grid.t1, default_grid.t2)
         with pytest.raises(SingularSystem):
             invert_hedge(np.ones(3), psi, 40.0, 0.0, params)
+
+
+class TestHedgeChecks:
+    """The invertibility checks alone raise what invert_hedge raises, in its order."""
+
+    @staticmethod
+    def _case(default_config, default_grid, kind):
+        cfg = default_config
+        if kind in ("degenerate psi", "both"):
+            cfg = override(cfg, model__theta_kind="constant", model__theta_level=0.0)
+        params = cfg.model_params()
+        psi = psi_matrix(0.1, 0.02, 0.05, 120.0, params, default_grid.t1, default_grid.t2)
+        if kind == "singular block":   # second swap row zero: the 2x2 block has det 0
+            entries = psi.entries.copy()
+            entries[1, :] = 0.0
+            psi = PsiMatrix(entries=entries, degenerate=psi.degenerate)
+        sigma_s = 0.0 if kind in ("zero price scale", "both") else 40.0
+        return psi, sigma_s, params
+
+    @pytest.mark.parametrize("kind, error", [
+        ("zero price scale", DegenerateState),
+        ("degenerate psi", SingularSystem),
+        ("singular block", SingularSystem),
+        ("both", DegenerateState),
+    ])
+    def test_checks_raise_as_invert_hedge(self, default_config, default_grid, kind, error):
+        psi, sigma_s, params = self._case(default_config, default_grid, kind)
+        with pytest.raises(error) as full:
+            invert_hedge(np.ones(3), psi, sigma_s, 0.0, params)
+        with pytest.raises(error) as checks:
+            hedge_denominators(psi, sigma_s, params)
+        assert str(checks.value) == str(full.value)
 
 
 class TestMartingaleRepresentation:
