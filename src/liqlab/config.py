@@ -186,6 +186,8 @@ class ScenarioConfig:
             raise ValidationError("run.n_x must be at least 1")
         if self.get("run", "x0") == 0.0:
             raise ValidationError("run.x0 must be nonzero")
+        if self.get("run", "seed") < 0:
+            raise ValidationError("run.seed must be nonnegative")
         if experiment is not None and experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {experiment!r}")
         try:

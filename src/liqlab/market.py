@@ -183,31 +183,32 @@ def simulate_paths(
         raise ZeroPaths("n_paths must be at least 1")
     noise = draw_noise(grid, params.decomp, n_paths, seed)
     dt = grid.dt
-    n_nodes = grid.n_nodes
 
-    u = np.empty((n_paths, n_nodes))
-    v = np.empty((n_paths, n_nodes))
-    s = np.empty((n_paths, n_nodes))
-    rv = np.empty((n_paths, n_nodes))
-    u[:, 0] = params.u0
-    v[:, 0] = params.v0
-    s[:, 0] = params.s0
-    rv[:, 0] = 0.0
+    # time-major (n_nodes, n_paths): each step reads and writes whole rows
+    s, u, v, rv = (np.empty((grid.n_nodes, n_paths)) for _ in range(4))
+    u[0] = params.u0
+    v[0] = params.v0
+    s[0] = params.s0
+    rv[0] = 0.0
 
     u_raw = np.full(n_paths, params.u0)
     v_raw = np.full(n_paths, params.v0)
-    dw = noise.dw
     for k in range(grid.n_steps):
-        u_plus = np.maximum(u_raw, 0.0)
-        v_plus = np.maximum(v_raw, 0.0)
-        sig2 = u[:, k] + v[:, k]
+        dw1, dw2, dw3 = noise.dw[:, k, :].T.copy()
+        # u[k], v[k] are max(u_raw, 0), max(v_raw, 0): the truncated states
+        sig2 = u[k] + v[k]
         sig = np.sqrt(sig2)
-        s[:, k + 1] = s[:, k] * np.exp(sig * dw[:, k, 0] - 0.5 * sig2 * dt)
-        rv[:, k + 1] = rv[:, k] + sig2 * dt
-        u_raw = u_raw + params.gamma * (u_plus + params.eta) * dt + params.phi(u_plus) * dw[:, k, 1]
-        v_raw = v_raw + params.alpha * (v_plus + params.a) * dt + params.theta(v_plus) * dw[:, k, 2]
-        u[:, k + 1] = np.maximum(u_raw, 0.0)
-        v[:, k + 1] = np.maximum(v_raw, 0.0)
+        s[k + 1] = s[k] * np.exp(sig * dw1 - 0.5 * sig2 * dt)
+        rv[k + 1] = rv[k] + sig2 * dt
+        u_raw = u_raw + params.gamma * (u[k] + params.eta) * dt + params.phi(u[k]) * dw2
+        v_raw = v_raw + params.alpha * (v[k] + params.a) * dt + params.theta(v[k]) * dw3
+        np.maximum(u_raw, 0.0, out=u[k + 1])
+        np.maximum(v_raw, 0.0, out=v[k + 1])
+    # back to path-major, one array at a time so one extra copy is live
+    s = np.ascontiguousarray(s.T)
+    u = np.ascontiguousarray(u.T)
+    v = np.ascontiguousarray(v.T)
+    rv = np.ascontiguousarray(rv.T)
 
     bad = ~(np.isfinite(s) & np.isfinite(u) & np.isfinite(v) & np.isfinite(rv))
     if bad.any():

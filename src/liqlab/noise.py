@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# Imported here, not on numpy's lazy first use inside draw_noise, where the
-# module's state would land above the noise array and pin the freed heap.
-from numpy.random import default_rng
+# Imported with the package, not on first use inside draw_noise, where
+# numpy.random's module state would land above the noise array and pin the
+# freed heap.
+from numpy.random import PCG64, Generator, default_rng
 
 # numpy checks its caller with backtrace() on the first arithmetic on a
 # large temporary, and backtrace() loads libgcc_s.  Doing that here, before
@@ -38,6 +39,18 @@ _PIVOT_TOL = 1e-12
 
 # exchange matrix: conjugation turns a lower Cholesky factor into an upper one
 _EXCH = np.eye(3)[::-1]
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+# paths hashed per block: bounds the Python-int state lists at any n_paths
+_SEED_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -181,19 +194,83 @@ def draw_noise(
 ) -> NoiseBlock:
     """Draw Gaussian increments for every path and step.
 
-    Each path gets its own counter-based stream keyed by (seed, path index)
-    so runs are reproducible and individual paths are stable when n_paths
-    changes.
+    Path i draws from the stream of default_rng((seed, i)), so runs are
+    reproducible and each path's noise is stable as n_paths changes.  The
+    streams are seeded in bulk (_pcg_seeds) and drawn through one PCG64 and
+    Generator pair; a check against default_rng on the last path makes a
+    change to numpy's seeding fail loudly instead of moving every stream.
     """
     if n_paths == 0:
         raise ZeroPaths("n_paths must be at least 1")
     if n_paths < 0:
         raise InvalidParams("n_paths must be nonnegative")
+    if seed < 0:
+        raise InvalidParams("seed must be nonnegative")
     sqrt_dt = np.sqrt(grid.dt)
     db = np.empty((n_paths, grid.n_steps, 3))
-    for i in range(n_paths):
-        rng = default_rng((seed, i))
-        db[i] = rng.standard_normal((grid.n_steps, 3))
+    bit_gen = PCG64(0)
+    gen = Generator(bit_gen)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for i, (pcg_state, inc) in enumerate(_pcg_seeds(seed, n_paths)):
+        state["state"] = {"state": pcg_state, "inc": inc}
+        bit_gen.state = state
+        gen.standard_normal(out=db[i])
+    last = default_rng((seed, n_paths - 1)).standard_normal((grid.n_steps, 3))
+    if last.tobytes() != db[-1].tobytes():
+        raise RuntimeError("bulk seeding no longer reproduces numpy's "
+                           "default_rng((seed, i)) streams")
     db *= sqrt_dt
     dw = np.einsum("pkj,ij->pki", db, decomp.tri_inv)
     return NoiseBlock(db=db, dw=dw, dt=grid.dt, seed=seed)
+
+
+def _pcg_seeds(seed: int, n_paths: int):
+    """Yield the seeded PCG64 (state, inc) of default_rng((seed, i)), i < n_paths.
+
+    SeedSequence((seed, i)) hashes the 32-bit words of seed and of i into a
+    pool of four words and expands the pool into a 128-bit initstate and
+    initseq; PCG64 then sets inc = 2 initseq + 1 and state = (inc +
+    initstate) MULT + inc mod 2^128.  The hash is uint32 arithmetic on
+    whole blocks of paths; only the last step is done per path, on Python
+    ints.
+    """
+    seed_words = [seed & _M32]
+    while seed := seed >> 32:
+        seed_words.append(seed & _M32)
+    for start in range(0, n_paths, _SEED_BLOCK):
+        paths = np.arange(start, min(start + _SEED_BLOCK, n_paths), dtype=np.uint32)
+        entropy = [np.full(paths.shape, w, np.uint32) for w in seed_words] + [paths]
+        with np.errstate(over="ignore"):
+            hashmix = _hashmix(_INIT_A, _MULT_A)
+            pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(paths))
+                    for j in range(_POOL_SIZE)]
+            for src in range(_POOL_SIZE):
+                for dst in range(_POOL_SIZE):
+                    if src != dst:
+                        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+            for word in entropy[_POOL_SIZE:]:
+                for dst in range(_POOL_SIZE):
+                    pool[dst] = _mix(pool[dst], hashmix(word))
+            expand = _hashmix(_INIT_B, _MULT_B)
+            words = [expand(pool[j % _POOL_SIZE]).astype(np.uint64) for j in range(8)]
+        # generate_state(4, uint64) pairs the words little-endian
+        halves = ((words[j] | words[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2))
+        for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+            yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _hashmix(hash_const: int, mult: int):
+    """SeedSequence's hashmix with its running constant, on uint32 arrays."""
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ out >> np.uint32(16)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,15 @@ def corr(rho12=0.0, rho13=0.0, rho23=0.0):
     r[0, 2] = r[2, 0] = rho13
     r[1, 2] = r[2, 1] = rho23
     return r
+
+
+def traced_peak(fn):
+    """fn() and the peak of traced allocations above the level at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak

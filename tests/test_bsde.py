@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,7 +23,7 @@ from liqlab.errors import (
     RegressionRankDeficient,
 )
 
-from conftest import override
+from conftest import override, traced_peak
 
 
 class TestTruncatePayoff:
@@ -375,18 +373,6 @@ class TestJointPass:
             assert runs[0].degenerate
 
 
-def _traced_peak(fn):
-    """fn() and the peak of traced allocations above the level at its start."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 class TestMemory:
     """The backward pass and the hedge inversion allocate their outputs and
     per-step work arrays, not a second copy of the bundle or of the outputs."""
@@ -399,19 +385,19 @@ class TestMemory:
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
         driver = driver_state(bundle, 0.0)
 
-        sol, solve_peak = _traced_peak(
+        sol, solve_peak = traced_peak(
             lambda: solve_quadratic_bsde(bundle, driver, term, config))
         solve_bytes = sol.y.nbytes + sol.z.nbytes + sol.xi.nbytes + sol.tau_index.nbytes
         assert solve_peak <= 1.5 * solve_bytes
 
-        sol, hedge_peak = _traced_peak(lambda: hedge_from_solution(sol, bundle))
+        sol, hedge_peak = traced_peak(lambda: hedge_from_solution(sol, bundle))
         hedge_bytes = sol.x.nbytes + sol.chi1.nbytes + sol.chi2.nbytes
         assert hedge_peak <= 1.5 * hedge_bytes
 
     def test_joint_pass_peak(self, default_config):
         xs = (200.0, 100.0, 50.0, 25.0)
         bundle, driver, terminals, config = _unit_count_runs(default_config, 2000, xs)
-        runs, peak = _traced_peak(lambda: solve_and_hedge(bundle, driver, terminals, config))
+        runs, peak = traced_peak(lambda: solve_and_hedge(bundle, driver, terminals, config))
         # per unit count the pass keeps X and xi; z lives one node at a time
         kept = sum(run.x.nbytes + run.xi.nbytes for run in runs) + runs[0].tau_index.nbytes
         assert peak <= 1.5 * kept

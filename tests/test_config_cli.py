@@ -123,6 +123,7 @@ class TestValidation:
         ("bsde", ["bsde.ridge=-1"]),
         ("replicate", ["run.n_x=0"]),
         ("replicate", ["run.x0=0"]),
+        ("simulate", ["run.seed=-1"]),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)

@@ -9,7 +9,6 @@ takes the last column of `gain_paths()`.  The memory tests bound what one
 ledger allocates and check that the harness holds one report at a time.
 """
 
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +27,7 @@ from liqlab import (
 )
 from liqlab.order_book import positions_2d
 
-from conftest import override
+from conftest import override, traced_peak
 
 REPORT_ARRAYS = ("y_direct", "y_decomposed", "gains", "impact_term", "quad_cost",
                  "swap_gains", "swap_quad", "liq_value")
@@ -149,18 +148,6 @@ def ledger_case(default_config, kind):
     chi2 = rng.normal(0, 1, size=(bundle.n_paths, bundle.n_nodes))
     return (bundle, Strategy(x=x, chi1=chi1, chi2=chi2, y0=y0),
             {"swaps": cfg.swap_liquidity(), "swap_prices": prices})
-
-
-def traced_peak(fn):
-    """fn() and the peak of traced allocations above the level at its start."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 # -- tests ------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from liqlab import (
 from liqlab.errors import DegenerateState, InvalidParams, ZeroPaths
 from liqlab.market import export_paths_csv, with_epsilon
 
-from conftest import override
+from conftest import override, traced_peak
 
 
 def frozen(cfg):
@@ -110,6 +110,37 @@ class TestSimulatePaths:
         npt.assert_array_equal(a.rv, b.rv)
 
 
+BUNDLE_ARRAYS = ("s", "u", "v", "sigma", "m", "rv")
+
+
+class TestForwardLayout:
+    """The Euler loop steps time-major; the bundle it returns is path-major."""
+
+    def test_bundle_arrays_c_contiguous(self, default_config):
+        bundle = simulate_paths(default_config.model_params(),
+                                default_config.time_grid(), 50, seed=3)
+        for name in BUNDLE_ARRAYS:
+            arr = getattr(bundle, name)
+            assert arr.flags.c_contiguous, name
+            assert arr.shape == (50, default_config.time_grid().n_nodes), name
+
+    def test_degenerate_state_names_step_and_path(self, default_config):
+        # a cubic U diffusion first overflows at step 6 on path 7 (seed 1)
+        cfg = override(default_config, model__u0=1.0, model__gamma=5.0,
+                       model__phi_exponent=3.0, model__phi_scale=80.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                DegenerateState, match=r"non-finite state at step 6 on path 7:"):
+            simulate_paths(cfg.model_params(), TimeGrid(1.0, 8), 50, seed=1)
+
+    def test_peak_is_bundle_plus_noise(self, default_config):
+        params = default_config.model_params()
+        grid = default_config.time_grid()
+        bundle, peak = traced_peak(lambda: simulate_paths(params, grid, 2000, seed=909))
+        kept = sum(getattr(bundle, name).nbytes for name in BUNDLE_ARRAYS)
+        kept += bundle.noise.db.nbytes + bundle.noise.dw.nbytes
+        assert peak <= 1.05 * kept
+
+
 class TestCoefficients:
     def test_mu_identity_map(self, default_config):
         cfg = override(default_config, model__epsilon=0.01, model__gamma=2.0,
@@ -179,7 +210,7 @@ class TestVolCoeff:
         assert not VolCoeff.power(0.75).condition_ok
 
     def test_params_condition_flag(self, default_config):
-        from conftest import override
+        from conftest import override, traced_peak
 
         assert default_config.model_params().swaps_condition_ok
         loose = override(default_config, model__phi_exponent=0.75)

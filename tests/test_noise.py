@@ -3,9 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from liqlab import TimeGrid, decompose_correlation, draw_noise
+from liqlab import noise
 from liqlab.errors import InvalidParams, NotPositiveDefinite, NotSymmetric, ZeroPaths
 
-from conftest import corr
+from conftest import corr, traced_peak
 
 
 class TestDecomposeCorrelation:
@@ -136,3 +137,49 @@ class TestDrawNoise:
             errs.append(np.abs(emp - r).max())
         assert errs[1] < errs[0]
         assert errs[1] < 4.0 / np.sqrt(4000 * 64)
+
+    def test_negative_seed_rejected(self):
+        grid = TimeGrid(horizon=1.0, n_steps=4)
+        with pytest.raises(InvalidParams):
+            draw_noise(grid, decompose_correlation(np.eye(3)), 4, seed=-1)
+
+    def test_peak_is_the_two_arrays(self):
+        # the bulk seeding hashes before dw exists and keeps no per-path copy
+        grid = TimeGrid(horizon=1.0, n_steps=64)
+        d = decompose_correlation(corr(rho12=0.3))
+        block, peak = traced_peak(lambda: draw_noise(grid, d, 2000, seed=909))
+        assert peak <= 1.02 * (block.db.nbytes + block.dw.nbytes)
+
+
+def _stream(seed, i, n_steps, dt):
+    return np.random.default_rng((seed, i)).standard_normal((n_steps, 3)) * np.sqrt(dt)
+
+
+class TestStreamContract:
+    """Path i of draw_noise is default_rng((seed, i)) scaled by sqrt(dt), bitwise."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 303, 909, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_db_is_the_default_rng_stream(self, seed):
+        n_paths = 70_000
+        assert n_paths > noise._SEED_BLOCK    # crosses a seeding block boundary
+        grid = TimeGrid(horizon=1.0, n_steps=1)
+        block = draw_noise(grid, decompose_correlation(np.eye(3)), n_paths, seed)
+        sample = np.random.default_rng(seed).choice(n_paths, 12, replace=False)
+        edge = noise._SEED_BLOCK
+        for i in sorted({0, 1, edge - 1, edge, n_paths - 1, *sample.tolist()}):
+            expect = _stream(seed, i, 1, grid.dt)
+            assert block.db[i].tobytes() == expect.tobytes(), f"path {i}"
+
+    @pytest.mark.parametrize("seed", [2**96 + 5, 2**130 + 7, 10**40])
+    def test_seeds_longer_than_the_pool(self, seed):
+        # five or more entropy words: the words past the pool are mixed in last
+        grid = TimeGrid(horizon=1.0, n_steps=4)
+        block = draw_noise(grid, decompose_correlation(np.eye(3)), 3, seed)
+        for i in range(3):
+            assert block.db[i].tobytes() == _stream(seed, i, 4, grid.dt).tobytes()
+
+    def test_seeding_drift_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(noise, "_PCG_MULT", noise._PCG_MULT + 2)
+        grid = TimeGrid(horizon=1.0, n_steps=2)
+        with pytest.raises(RuntimeError, match="default_rng"):
+            draw_noise(grid, decompose_correlation(np.eye(3)), 3, seed=1)
