@@ -10,25 +10,25 @@ regressions on polynomial features of (S, U, V) over the paths still
 alive: the value Y_k from Y_{k+1}; Z_1 from the control-variate target
 (Y_{k+1} - Y_k) dB_1 / dt; when the driver is active, a Picard loop on
 (Y_k, Z_1) that adds lambda Lambda Z_1^2 dt to the value target until the
-value stabilizes; last, Z_2 and Z_3 once from the final value.  Stopped
-paths carry their value unchanged with zero exposures, which realizes
-the conditional expectation at tau through the tower property (no
-separate estimator); a run where every path stops at node 0 is flagged
-degenerate.
+value stabilizes; last, in the full solve, Z_2 and Z_3 once from the
+final value.  Stopped paths carry their value unchanged with zero
+exposures, which realizes the conditional expectation at tau through the
+tower property (no separate estimator); a run where every path stops at
+node 0 is flagged degenerate.
 
 The design, Gram matrix, alive set and driver term of a step serve every
 target regressed at that step.  `solve_quadratic_bsde` runs the pass for
 one terminal and keeps the full Y and Z.  `solve_and_hedge` runs it once
 for several terminals on one bundle (the unit counts of a replication
-run) and one driver: each column keeps its own Picard stop, divergence
-counter, xi and running max |Y|, the stock position X is recovered at
-each node while the step's exposures are live (after the full hedge
-invertibility checks; the swap positions are not formed), and per
-column only X, xi, the estimate and the diagnostics are kept.  The fits
-stay one target at a time, so every column is bitwise what its own
-`solve_quadratic_bsde` plus `hedge_from_solution` gives.  The first
-failure in step order (rank deficiency, Picard divergence, a singular
-loading matrix) aborts the whole pass.
+run) and one driver, fitting only the value and Z_1: each column keeps
+its own Picard stop, divergence counter, xi and running max |Y|, the
+stock position X = Z_1 / (sigma1 Sigma S) is formed at each node while
+Z_1 is live, and per column only X, xi, the estimate and the diagnostics
+are kept.  The fits stay one target at a time, so every column is
+bitwise what its own `solve_quadratic_bsde` plus `hedge_from_solution`
+gives.  The first failure in step order (rank deficiency, Picard
+divergence) aborts the whole pass; the loading matrix is not built
+there, as X does not depend on it.
 
 Regressions use ridge-stabilized least squares on standardized features
 with an unpenalized intercept, so cross-path means are preserved exactly:
@@ -52,7 +52,7 @@ from .errors import (
 )
 from .market import PathBundle, driver_coefficient_paths, zeta_coeff
 from .payoffs import TruncatedPayoff
-from .swaps import hedge_denominators, invert_hedge, psi_matrix
+from .swaps import invert_hedge, psi_matrix
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,6 @@ class BsdeSolution:
 class _Step(NamedTuple):
     k: int
     alive: slice | np.ndarray   # index of `_alive_paths`
-    n_alive: int
     solver: _RidgeSolver
     db: np.ndarray              # Brownian increments on the alive paths
     drift: np.ndarray | None    # lam * Lambda on the alive paths; None when the driver is off
@@ -283,7 +282,7 @@ class _BackwardPass:
                 if np.any(lam_vals != 0.0):
                     self.lambda_bound = max(self.lambda_bound, float(lam_vals.max()))
                     drift = driver.lam * lam_vals
-            yield _Step(k, alive, n_alive, solver, bundle.noise.db[alive, k, :], drift)
+            yield _Step(k, alive, solver, bundle.noise.db[alive, k, :], drift)
 
     def solution(self, terminal: TerminalCondition, y_node0: np.ndarray, xi: np.ndarray,
                  picard_deltas: list, max_abs_y: float, **paths) -> BsdeSolution:
@@ -306,26 +305,23 @@ class _BackwardPass:
 
 def _fit_step(step: _Step, target: np.ndarray, xi: np.ndarray, deltas: list,
               config: BsdeConfig, dt: float):
-    """One column's fits at one step; returns the value and the (n_alive, 3) exposures.
+    """One column's value and Z1 fits at one step; returns (y, z1) on the alive paths.
 
-    Value, Z1, the Picard loop on (Y, Z1) when the driver is active (its
-    deltas appended to `deltas`, its driver term added to xi), then Z2 and
-    Z3 once from the final value.
+    Value, Z1, then the Picard loop on (Y, Z1) when the driver is active
+    (its deltas appended to `deltas`, its driver term added to xi).
     """
-    solver, db_k, drift = step.solver, step.db, step.drift
-    z_fit = np.empty((step.n_alive, 3))
+    solver, db1, drift = step.solver, step.db[:, 0], step.drift
     y_new = solver.fit(target)
-    z_fit[:, 0] = solver.fit((target - y_new) * db_k[:, 0] / dt)
+    z1 = solver.fit((target - y_new) * db1 / dt)
     if drift is not None:
-        y_new = solver.fit(target + drift * z_fit[:, 0] ** 2 * dt)
+        y_new = solver.fit(target + drift * z1 ** 2 * dt)
         prev_delta = None
         growing = 0
         for _ in range(1, config.picard_iters):
-            z1 = solver.fit((target - y_new) * db_k[:, 0] / dt)
+            z1 = solver.fit((target - y_new) * db1 / dt)
             y_next = solver.fit(target + drift * z1 ** 2 * dt)
             delta = float(np.abs(y_next - y_new).max())
             deltas.append(delta)
-            z_fit[:, 0] = z1
             y_new = y_next
             if prev_delta is not None and delta > prev_delta:
                 growing += 1
@@ -339,10 +335,8 @@ def _fit_step(step: _Step, target: np.ndarray, xi: np.ndarray, deltas: list,
             prev_delta = delta
             if delta < config.picard_tol:
                 break
-        xi[step.alive] += drift * z_fit[:, 0] ** 2 * dt
-    for j in (1, 2):
-        z_fit[:, j] = solver.fit((target - y_new) * db_k[:, j] / dt)
-    return y_new, z_fit
+        xi[step.alive] += drift * z1 ** 2 * dt
+    return y_new, z1
 
 
 def _terminal_values(bundle: PathBundle, terminal: TerminalCondition) -> np.ndarray:
@@ -368,10 +362,14 @@ def solve_quadratic_bsde(
     z = np.zeros((bundle.n_paths, bundle.n_nodes, 3))
     xi = values.copy()
     picard_deltas: list = [[] for _ in backward.alive_counts]
+    dt = bundle.grid.dt
     for step in backward:
-        y[step.alive, step.k], z[step.alive, step.k, :] = _fit_step(
-            step, y[step.alive, step.k + 1], xi, picard_deltas[step.k], config,
-            bundle.grid.dt)
+        alive, k = step.alive, step.k
+        target = y[alive, k + 1]
+        y_k, z1 = _fit_step(step, target, xi, picard_deltas[k], config, dt)
+        y[alive, k], z[alive, k, 0] = y_k, z1
+        for j in (1, 2):    # Z2 and Z3 once from the final value
+            z[alive, k, j] = step.solver.fit((target - y_k) * step.db[:, j] / dt)
     return backward.solution(terminal, y[:, 0], xi, picard_deltas, float(np.abs(y).max()),
                              y=y, z=z)
 
@@ -384,66 +382,36 @@ def solve_and_hedge(
 ) -> list:
     """One backward pass for several terminal conditions on one bundle and driver.
 
-    Each step builds its basis once and runs `solve_quadratic_bsde`'s fits
-    for every terminal column in turn; the node's loading matrix is built
-    once, `invert_hedge`'s invertibility checks run once on the stacked
-    exposures, and only their stock positions are formed.  Per
-    terminal it returns a `BsdeSolution` with the stock position x, xi, the
-    estimate and the diagnostics, bitwise those of `solve_quadratic_bsde`
-    then `hedge_from_solution`; y, z, chi1 and chi2 are not kept.  The
-    first failure in step order aborts the pass.
+    Each step builds its basis once and runs `solve_quadratic_bsde`'s value
+    and Z1 fits for every terminal column in turn, then forms the stock
+    position X = Z1 / (sigma1 Sigma S).  Per terminal it returns a
+    `BsdeSolution` with X, xi, the estimate and the diagnostics, bitwise
+    those of `solve_quadratic_bsde` then `hedge_from_solution`; y, z, chi1
+    and chi2 are not kept.  The first failure in step order aborts the pass.
+
+    X does not depend on the loading matrix, so it is neither built nor
+    checked: on a singular one this returns X where `hedge_from_solution`
+    raises (`replication_cost_curve` runs that first, on the same states).
     """
     values = np.stack([_terminal_values(bundle, t) for t in terminals])
     backward = _BackwardPass(bundle, driver, config)
-    hedge = _NodeHedge(bundle)
+    sigma1 = bundle.params.decomp.sigma1
     y = values.copy()           # each column's value at the node above the step
     xi = values.copy()
     max_abs_y = np.abs(values).max(axis=1)
     x = np.zeros((len(terminals), bundle.n_paths, bundle.n_nodes))
     picard_deltas = [[[] for _ in backward.alive_counts] for _ in terminals]
     for step in backward:
-        z = np.empty((len(terminals), step.n_alive, 3))
+        alive, k = step.alive, step.k
+        denom = sigma1 * (bundle.sigma[alive, k] * bundle.s[alive, k])
         for j, deltas in enumerate(picard_deltas):
-            y_new, z[j] = _fit_step(step, y[j][step.alive], xi[j], deltas[step.k], config,
-                                    bundle.grid.dt)
-            y[j][step.alive] = y_new
+            y_new, z1 = _fit_step(step, y[j][alive], xi[j], deltas[k], config, bundle.grid.dt)
+            y[j][alive] = y_new
             max_abs_y[j] = np.maximum(max_abs_y[j], np.abs(y_new).max())
-        x[:, step.alive, step.k] = hedge.stock(step.k, step.alive, z)
+            x[j, alive, k] = z1 / denom
     return [backward.solution(terminal, y[j], xi[j], picard_deltas[j], float(max_abs_y[j]),
                               x=x[j])
             for j, terminal in enumerate(terminals)]
-
-
-class _NodeHedge:
-    """Hedge inversion at one node: loading matrix, its degeneracy check, inversion."""
-
-    def __init__(self, bundle: PathBundle):
-        self.bundle = bundle
-        self.maturities = bundle.grid.require_maturities()
-        self.times = bundle.grid.times()
-
-    def _node(self, k: int, alive):
-        """Loading matrix and sigma * S on the alive paths at node k, u there too."""
-        bundle = self.bundle
-        u_k = bundle.u[alive, k]
-        s_k = bundle.s[alive, k]
-        psi = psi_matrix(self.times[k], u_k, bundle.v[alive, k], s_k, bundle.params,
-                         *self.maturities)
-        if np.any(psi.degenerate):
-            raise SingularSystem(f"node {k}: degenerate loading matrix on an alive path")
-        return psi, bundle.sigma[alive, k] * s_k, u_k
-
-    def __call__(self, k: int, alive, z: np.ndarray):
-        """(X, chi1, chi2) on the alive paths at node k from exposures z (..., n_alive, 3)."""
-        params = self.bundle.params
-        psi, sigma_s, u_k = self._node(k, alive)
-        return invert_hedge(z, psi, sigma_s, zeta_coeff(u_k, params), params)
-
-    def stock(self, k: int, alive, z: np.ndarray) -> np.ndarray:
-        """X alone, after the same invertibility checks as __call__."""
-        psi, sigma_s, _ = self._node(k, alive)
-        denom, _ = hedge_denominators(psi, sigma_s, self.bundle.params)
-        return z[..., 0] / denom
 
 
 def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolution:
@@ -452,7 +420,9 @@ def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolut
     The hedge is zero at and after the stopping node, which also encodes
     liquidation at maturity for paths that never stop.
     """
-    hedge = _NodeHedge(bundle)
+    params = bundle.params
+    maturities = bundle.grid.require_maturities()
+    times = bundle.grid.times()
     x = np.zeros((bundle.n_paths, bundle.n_nodes))
     chi1 = np.zeros((bundle.n_paths, bundle.n_nodes))
     chi2 = np.zeros((bundle.n_paths, bundle.n_nodes))
@@ -460,6 +430,11 @@ def hedge_from_solution(solution: BsdeSolution, bundle: PathBundle) -> BsdeSolut
         alive, _ = _alive_paths(solution.tau_index, k)
         if alive is None:
             continue
-        x[alive, k], chi1[alive, k], chi2[alive, k] = hedge(k, alive,
-                                                            solution.z[alive, k, :])
+        u_k, s_k = bundle.u[alive, k], bundle.s[alive, k]
+        psi = psi_matrix(times[k], u_k, bundle.v[alive, k], s_k, params, *maturities)
+        if np.any(psi.degenerate):
+            raise SingularSystem(f"node {k}: degenerate loading matrix on an alive path")
+        x[alive, k], chi1[alive, k], chi2[alive, k] = invert_hedge(
+            solution.z[alive, k, :], psi, bundle.sigma[alive, k] * s_k,
+            zeta_coeff(u_k, params), params)
     return replace(solution, x=x, chi1=chi1, chi2=chi2)

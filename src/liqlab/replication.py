@@ -19,8 +19,9 @@ basis per step and one hedge inversion per node for all unit counts,
 keeping per x only the stock position, xi, the estimate and the solver
 diagnostics.  A failure in any x-run aborts the report; the first one in
 step order is raised.  Rank deficiency and a singular loading matrix
-surface in the hat solve first, since its alive sets and loading
-matrices are those of the x-runs.
+surface in the hat solve first: its alive sets are those of the x-runs,
+and the loading matrices are checked only there, as the x-runs form X
+from Z_1 alone.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def replication_cost_curve(
 ) -> ReplicationReport:
     """Run the full per-unit-cost experiment over a grid of unit counts."""
     xs = np.asarray(list(xs), dtype=float)
-    if np.any(xs == 0.0):
-        raise InvalidParams("unit counts must be nonzero")
+    if np.any(xs == 0.0) or np.unique(xs).size < xs.size:
+        raise InvalidParams("unit counts must be nonzero and distinct")
     params.validate(require_swap_hedging=True)
     lam = params.lambda_impact
 
@@ -249,8 +250,10 @@ def replication_cost_curve(
     order = np.argsort(np.abs(xs))
     x2 = float(xs[order[0]])
     if len(xs) >= 2:
+        # Richardson step on D(x) / x = H'(0) + O(x) through the two smallest |x|
         x1 = float(xs[order[1]])
-        fd_pp = 2.0 * per_path_diffs[x2] / x2 - per_path_diffs[x1] / x1
+        r = x1 / x2
+        fd_pp = (r * per_path_diffs[x2] / x2 - per_path_diffs[x1] / x1) / (r - 1.0)
     else:
         fd_pp = per_path_diffs[x2] / x2
     hp_fd = float(fd_pp.mean())

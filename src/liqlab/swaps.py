@@ -187,26 +187,6 @@ def exposure_from_hedge(x, chi1, chi2, psi: PsiMatrix, sigma_s, zeta_u, params: 
     return z
 
 
-def hedge_denominators(psi: PsiMatrix, sigma_s, params: ModelParams):
-    """sigma1 * Sigma * S and the swap-block determinants of the hedge inversion.
-
-    Raises DegenerateState when the stock denominator vanishes, then
-    SingularSystem when the loading matrix is flagged degenerate or its
-    2x2 swap block is numerically singular.
-    """
-    denom = params.decomp.sigma1 * np.asarray(sigma_s, dtype=float)
-    if np.any(np.abs(denom) < _DEGENERATE):
-        raise DegenerateState("sigma1 * Sigma * S too small to recover the stock position")
-    if np.any(psi.degenerate):
-        raise SingularSystem("loading matrix degenerate at some state")
-    e = psi.entries
-    dets = e[..., 0, 1] * e[..., 1, 2] - e[..., 1, 1] * e[..., 0, 2]
-    scale = np.abs(e[..., :2, 1:]).max(axis=(-2, -1)) ** 2 + _DEGENERATE
-    if np.any(np.abs(dets) <= 1e-13 * scale):
-        raise SingularSystem("swap loading block numerically singular")
-    return denom, dets
-
-
 def invert_hedge(
     z,
     psi: PsiMatrix,
@@ -217,14 +197,24 @@ def invert_hedge(
     """Recover (X, chi1, chi2) from diffusion exposures Z.
 
     X comes from the first component alone; the swap positions then solve
-    the 2x2 swap block by Cramer's rule.  Vectorizes over batches.
+    the 2x2 swap block by Cramer's rule.  Vectorizes over batches.  A zero
+    sigma1 * Sigma * S raises DegenerateState before a degenerate or
+    singular loading matrix raises SingularSystem.
     """
     z = np.asarray(z, dtype=float)
     sigma_s = np.asarray(sigma_s, dtype=float)
     d = params.decomp
-    denom, dets = hedge_denominators(psi, sigma_s, params)
-    x = z[..., 0] / denom
+    denom = d.sigma1 * sigma_s
+    if np.any(np.abs(denom) < _DEGENERATE):
+        raise DegenerateState("sigma1 * Sigma * S too small to recover the stock position")
+    if np.any(psi.degenerate):
+        raise SingularSystem("loading matrix degenerate at some state")
     e = psi.entries
+    dets = e[..., 0, 1] * e[..., 1, 2] - e[..., 1, 1] * e[..., 0, 2]
+    scale = np.abs(e[..., :2, 1:]).max(axis=(-2, -1)) ** 2 + _DEGENERATE
+    if np.any(np.abs(dets) <= 1e-13 * scale):
+        raise SingularSystem("swap loading block numerically singular")
+    x = z[..., 0] / denom
     r1 = z[..., 1] - d.tri_inv[0, 1] * sigma_s * x + d.phi2 * zeta_u * x ** 2
     r2 = z[..., 2] - d.tri_inv[0, 2] * sigma_s * x + d.phi3 * zeta_u * x ** 2
     chi1 = (r1 * e[..., 1, 2] - e[..., 1, 1] * r2) / dets

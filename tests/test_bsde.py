@@ -21,6 +21,7 @@ from liqlab.errors import (
     InvalidParams,
     MissingHatHedge,
     RegressionRankDeficient,
+    SingularSystem,
 )
 
 from conftest import override, traced_peak
@@ -371,6 +372,22 @@ class TestJointPass:
             assert alive[1] < bundle.n_paths and alive.min() > 0
         else:
             assert runs[0].degenerate
+
+    def test_stock_position_needs_no_loading_matrix(self, default_config):
+        # theta = 0 makes every loading matrix degenerate: the hedge
+        # inversion raises, the x-pass still forms X = Z1 / (sigma1 Sigma S)
+        cfg = override(default_config, grid__n_steps=16, bsde__l_trunc=5.2,
+                       model__theta_kind="constant", model__theta_level=0.0)
+        bundle, driver, terminals, config = _unit_count_runs(cfg, 300, (200.0, 50.0, -25.0))
+        runs = solve_and_hedge(bundle, driver, terminals, config)
+        sigma1 = bundle.params.decomp.sigma1
+        for terminal, run in zip(terminals, runs):
+            sol = solve_quadratic_bsde(bundle, driver, terminal, config)
+            alive = np.arange(bundle.n_nodes)[None, :] < sol.tau_index[:, None]
+            want = np.where(alive, sol.z[..., 0] / (sigma1 * (bundle.sigma * bundle.s)), 0.0)
+            npt.assert_array_equal(run.x, want)
+            with pytest.raises(SingularSystem):
+                hedge_from_solution(sol, bundle)
 
 
 class TestMemory:

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -13,8 +14,9 @@ from liqlab import (
     impact_error,
     replication_cost_curve,
     simulate_paths,
+    stopping_index,
 )
-from liqlab import replication
+from liqlab import bsde, replication
 from liqlab.bsde import driver_state, solve_quadratic_bsde, terminal_condition
 from liqlab.errors import (
     InvalidParams,
@@ -189,12 +191,64 @@ class TestReplicationCostCurve:
                                    call_ramp(100.0, 100.0), [0.0], 100, 1,
                                    default_config.bsde_config())
 
+    def test_fd_derivative_uses_the_actual_ratio(self, default_config):
+        # Richardson step through x = 25 and 100 (ratio 4, not 2)
+        cfg = override(default_config, grid__n_steps=32)
+        report = replication_cost_curve(cfg.model_params(), cfg.time_grid(),
+                                        call_ramp(100.0, 100.0), [100.0, 25.0],
+                                        1000, 14, cfg.bsde_config())
+        d100, d25 = report.diff_means
+        npt.assert_allclose(report.hprime0_fd, (4 * d25 / 25 - d100 / 100) / 3, rtol=1e-9)
+
+    def test_repeated_units_rejected_before_simulating(self, default_config, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated before validating the unit counts")
+
+        monkeypatch.setattr(replication, "simulate_paths", no_simulation)
+        with pytest.raises(InvalidParams):
+            replication_cost_curve(default_config.model_params(),
+                                   default_config.time_grid(),
+                                   call_ramp(100.0, 100.0), [50.0, 50.0], 100, 1,
+                                   default_config.bsde_config())
+
     def test_equal_rates_rejected(self, default_config):
         cfg = override(default_config, model__alpha=0.5)
         with pytest.raises(InvalidParams):
             replication_cost_curve(cfg.model_params(), cfg.time_grid(),
                                    call_ramp(100.0, 100.0), [10.0], 100, 1,
                                    cfg.bsde_config())
+
+
+def _counting(calls: Counter, name: str, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestUnitCountPass:
+    """The x-runs form X from Z1 alone; the hat hedge checks every node."""
+
+    def test_one_loading_matrix_per_hat_node(self, default_config, monkeypatch):
+        calls = Counter()
+        for name in ("psi_matrix", "invert_hedge"):
+            monkeypatch.setattr(bsde, name, _counting(calls, name, getattr(bsde, name)))
+        cfg = override(default_config, grid__n_steps=32, bsde__l_trunc=5.2)
+        replication_cost_curve(cfg.model_params(), cfg.time_grid(),
+                               call_ramp(100.0, 100.0), [100.0, 50.0, 25.0],
+                               500, 16, cfg.bsde_config())
+        tau = stopping_index(simulate_paths(cfg.model_params(), cfg.time_grid(), 500, 16), 5.2)
+        assert tau.min() < tau.max(), "some paths should stop"
+        nodes = int(tau.max())      # nodes 0, ..., max tau - 1 have alive paths
+        assert calls == {"psi_matrix": nodes, "invert_hedge": nodes}
+
+    def test_singular_loading_matrix_raises(self, default_config):
+        cfg = override(default_config, model__theta_kind="constant",
+                       model__theta_level=0.0, grid__n_steps=32)
+        with pytest.raises(SingularSystem):
+            replication_cost_curve(cfg.model_params(), cfg.time_grid(),
+                                   call_ramp(100.0, 100.0), [50.0, 25.0],
+                                   300, 17, cfg.bsde_config())
 
 
 class TestImpactError:

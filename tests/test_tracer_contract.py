@@ -4,8 +4,8 @@
 `BsdeSolution` fields from their results.  A renamed function or a
 dropped field breaks only traced benchmark runs, so this runs
 `benchmarks/child.py` traced, in a fresh process as the benchmark does,
-at the self-test's size (500 paths x 16 steps), and checks that every
-bsde, swaps and replication span was entered.
+at the self-test's size (500 paths x 16 steps), and checks that the
+three workloads together enter every span the tracer defines.
 """
 
 import importlib.util
@@ -19,8 +19,7 @@ _SPEC = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py"
 spans = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(spans)
 
-WORKLOADS = ("replicate-20k", "cli-2k")
-LAYERS = ("bsde", "swaps", "replication")
+WORKLOADS = ("replicate-20k", "forward-50k", "cli-2k")
 
 
 def _traced_run(workload: str, work_dir: Path) -> dict:
@@ -40,7 +39,7 @@ def test_every_solver_span_is_entered(tmp_path):
         for key, value in result["layers"].items():
             if key.endswith(".calls"):
                 calls[key] = calls.get(key, 0) + value
-    wanted = [name for _, _, name, _ in spans.TARGETS if name.split(".")[0] in LAYERS]
-    assert len(wanted) == 8
+    wanted = [name for _, _, name, _ in spans.TARGETS]
+    assert len(wanted) == 15
     missing = [name for name in wanted if not calls.get(name + ".calls")]
     assert not missing, f"spans never entered: {missing}"
