@@ -24,7 +24,7 @@ print(f"payoff: clipped call, strike 100, cap 100, truncation level {config.n_tr
 
 # linear case first: value == Monte Carlo mean
 term = ll.terminal_condition(bundle, trunc, x_units=1.0, lam=0.0)
-sol = ll.solve_quadratic_bsde(bundle, ll.driver_state(bundle, 0.0), term, config)
+sol = ll.solve_quadratic_bsde(bundle, term, config)
 print(f"zero-impact value {sol.y0:.4f} +- {sol.y0_stderr:.4f} "
       f"(plain MC mean {term.values.mean():.4f})")
 
@@ -34,8 +34,7 @@ hat_profile[:, -1] = 0.0
 x_units = 50.0
 term_q = ll.terminal_condition(bundle, trunc, x_units, params.lambda_impact,
                                hat_profile)
-driver = ll.driver_state(bundle, params.lambda_impact)
-sol_q = ll.solve_quadratic_bsde(bundle, driver, term_q, config)
+sol_q = ll.solve_quadratic_bsde(bundle, term_q, config)
 print(f"{x_units:.0f}-unit value with impact: {sol_q.y0:.2f} "
       f"(per unit {sol_q.y0 / x_units:.4f})")
 diag = sol_q.diagnostics

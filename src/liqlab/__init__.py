@@ -73,9 +73,7 @@ from .payoffs import (
 from .bsde import (
     BsdeConfig,
     BsdeSolution,
-    DriverState,
     TerminalCondition,
-    driver_state,
     hedge_from_solution,
     solve_and_hedge,
     solve_quadratic_bsde,
@@ -83,7 +81,6 @@ from .bsde import (
     terminal_condition,
 )
 from .replication import (
-    HatSolution,
     ReplicationReport,
     h_prime_zero,
     hat_solution,

@@ -16,19 +16,21 @@ exposures, which realizes the conditional expectation at tau through the
 tower property (no separate estimator); a run where every path stops at
 node 0 is flagged degenerate.
 
-The design, Gram matrix, alive set and driver term of a step serve every
-target regressed at that step.  `solve_quadratic_bsde` runs the pass for
-one terminal and keeps the full Y and Z.  `solve_and_hedge` runs it once
-for several terminals on one bundle (the unit counts of a replication
-run) and one driver, fitting only the value and Z_1: each column keeps
-its own Picard stop, divergence counter, xi and running max |Y|, the
-stock position X = Z_1 / (sigma1 Sigma S) is formed at each node while
-Z_1 is live, and per column only X, xi, the estimate and the diagnostics
-are kept.  The fits stay one target at a time, so every column is
-bitwise what its own `solve_quadratic_bsde` plus `hedge_from_solution`
-gives.  The first failure in step order (rank deficiency, Picard
-divergence) aborts the whole pass; the loading matrix is not built
-there, as X does not depend on it.
+The design, Gram matrix, alive set and driver term lambda Lambda of a
+step, formed from that step's states, serve every target regressed at
+that step; lambda is the terminal condition's.  `solve_quadratic_bsde`
+runs the pass for one terminal and keeps the full Y and Z.
+`solve_and_hedge` runs it once for several terminals of one lambda on
+one bundle (the unit counts of a replication run), fitting only the
+value and Z_1: each column keeps its own Picard stop, divergence
+counter, xi and running max |Y|, the stock position X = Z_1 / (sigma1
+Sigma S) is formed at each node while Z_1 is live, and per column only
+X, xi, the estimate and the diagnostics are kept.  The fits stay one
+target at a time, so every column is bitwise what its own
+`solve_quadratic_bsde` plus `hedge_from_solution` gives.  The first
+failure in step order (rank deficiency, Picard divergence) aborts the
+whole pass; the loading matrix is not built there, as X does not depend
+on it.
 
 Regressions use ridge-stabilized least squares on standardized features
 with an unpenalized intercept, so cross-path means are preserved exactly:
@@ -50,7 +52,7 @@ from .errors import (
     RegressionRankDeficient,
     SingularSystem,
 )
-from .market import PathBundle, driver_coefficient_paths, zeta_coeff
+from .market import PathBundle, driver_coefficient, zeta_coeff
 from .payoffs import TruncatedPayoff
 from .swaps import invert_hedge, psi_matrix
 
@@ -79,28 +81,16 @@ class BsdeConfig:
 
 
 @dataclass(frozen=True)
-class DriverState:
-    """Quadratic-driver data: Lambda per node and impact fraction, for any unit count.
-
-    lambda_vals is None when lam = 0: the driver is off and Lambda is never read.
-    """
-
-    lambda_vals: np.ndarray | None
-    lam: float
-
-
-def driver_state(bundle: PathBundle, lam: float) -> DriverState:
-    return DriverState(lambda_vals=driver_coefficient_paths(bundle) if lam != 0.0 else None,
-                       lam=lam)
-
-
-@dataclass(frozen=True)
 class TerminalCondition:
-    """Per-path terminal values x * h^N(adjusted terminal price)."""
+    """Per-path terminal values x * h^N(adjusted terminal price).
+
+    lam, the impact fraction of the adjustment, is also the driver's.
+    """
 
     values: np.ndarray
     s_tilde: np.ndarray
     x_units: float
+    lam: float
     payoff_bound: float
 
 
@@ -140,7 +130,7 @@ def terminal_condition(
             raise MissingHatHedge("hat hedge path does not match the bundle grid")
         s_tilde = bundle.s[:, -1] - 2.0 * lam * x_units * np.sum(hat[:, :-1] * dm, axis=1)
     values = x_units * payoff(s_tilde)
-    return TerminalCondition(values=values, s_tilde=s_tilde, x_units=x_units,
+    return TerminalCondition(values=values, s_tilde=s_tilde, x_units=x_units, lam=lam,
                              payoff_bound=payoff.bound)
 
 
@@ -251,8 +241,8 @@ class _BackwardPass:
     counts, condition numbers and largest Lambda on the way.
     """
 
-    def __init__(self, bundle: PathBundle, driver: DriverState, config: BsdeConfig):
-        self.bundle, self.driver, self.config = bundle, driver, config
+    def __init__(self, bundle: PathBundle, lam: float, config: BsdeConfig):
+        self.bundle, self.lam, self.config = bundle, lam, config
         self.tau = stopping_index(bundle, config.l_trunc)
         n_steps = bundle.n_nodes - 1
         self.alive_counts = np.zeros(n_steps, dtype=int)
@@ -260,7 +250,7 @@ class _BackwardPass:
         self.lambda_bound = 0.0
 
     def __iter__(self):
-        bundle, driver, config = self.bundle, self.driver, self.config
+        bundle, lam, config = self.bundle, self.lam, self.config
         min_alive = max(config.min_paths_per_regression, _n_features(config.degree))
         for k in range(len(self.alive_counts) - 1, -1, -1):
             alive, n_alive = _alive_paths(self.tau, k)
@@ -272,16 +262,15 @@ class _BackwardPass:
                     f"step {k}: {n_alive} alive paths < required {min_alive}",
                     diagnostics={"step": k, "alive": n_alive, "required": min_alive},
                 )
-            design = _design(bundle.s[alive, k], bundle.u[alive, k], bundle.v[alive, k],
-                             config.degree)
-            solver = _RidgeSolver(design, config.ridge)
+            s_k, u_k, v_k = bundle.s[alive, k], bundle.u[alive, k], bundle.v[alive, k]
+            solver = _RidgeSolver(_design(s_k, u_k, v_k, config.degree), config.ridge)
             self.cond_numbers[k] = solver.cond
             drift = None
-            if driver.lam != 0.0:
-                lam_vals = driver.lambda_vals[alive, k]
+            if lam != 0.0:
+                lam_vals = driver_coefficient(u_k, v_k, s_k, bundle.params)
                 if np.any(lam_vals != 0.0):
                     self.lambda_bound = max(self.lambda_bound, float(lam_vals.max()))
-                    drift = driver.lam * lam_vals
+                    drift = lam * lam_vals
             yield _Step(k, alive, solver, bundle.noise.db[alive, k, :], drift)
 
     def solution(self, terminal: TerminalCondition, y_node0: np.ndarray, xi: np.ndarray,
@@ -289,7 +278,7 @@ class _BackwardPass:
         """The estimate and diagnostics of one column from its node-0 values and xi."""
         n_paths = xi.shape[0]
         y_bound = abs(terminal.x_units) * terminal.payoff_bound
-        smallness = self.driver.lam * 2.0 * self.lambda_bound * terminal.payoff_bound
+        smallness = self.lam * 2.0 * self.lambda_bound * terminal.payoff_bound
         smallness_ok = smallness * abs(terminal.x_units) < 0.5
         diag = BsdeDiagnostics(
             alive_counts=self.alive_counts, cond_numbers=self.cond_numbers,
@@ -348,15 +337,11 @@ def _terminal_values(bundle: PathBundle, terminal: TerminalCondition) -> np.ndar
     return values
 
 
-def solve_quadratic_bsde(
-    bundle: PathBundle,
-    driver: DriverState,
-    terminal: TerminalCondition,
-    config: BsdeConfig,
-) -> BsdeSolution:
+def solve_quadratic_bsde(bundle: PathBundle, terminal: TerminalCondition,
+                         config: BsdeConfig) -> BsdeSolution:
     """Backward pass over the grid; see the module docstring for the scheme."""
     values = _terminal_values(bundle, terminal)
-    backward = _BackwardPass(bundle, driver, config)
+    backward = _BackwardPass(bundle, terminal.lam, config)
     y = np.empty((bundle.n_paths, bundle.n_nodes))
     y[:] = values[:, None]      # stopped paths carry the terminal value
     z = np.zeros((bundle.n_paths, bundle.n_nodes, 3))
@@ -374,13 +359,8 @@ def solve_quadratic_bsde(
                              y=y, z=z)
 
 
-def solve_and_hedge(
-    bundle: PathBundle,
-    driver: DriverState,
-    terminals: list,
-    config: BsdeConfig,
-) -> list:
-    """One backward pass for several terminal conditions on one bundle and driver.
+def solve_and_hedge(bundle: PathBundle, terminals: list, config: BsdeConfig) -> list:
+    """One backward pass for several terminal conditions of one lambda on one bundle.
 
     Each step builds its basis once and runs `solve_quadratic_bsde`'s value
     and Z1 fits for every terminal column in turn, then forms the stock
@@ -392,9 +372,13 @@ def solve_and_hedge(
     X does not depend on the loading matrix, so it is neither built nor
     checked: on a singular one this returns X where `hedge_from_solution`
     raises (`replication_cost_curve` runs that first, on the same states).
+    Terminals of different lambda raise InvalidParams before the pass.
     """
+    lams = {t.lam for t in terminals}
+    if len(lams) != 1:
+        raise InvalidParams(f"terminals must share one impact fraction, got {sorted(lams)}")
     values = np.stack([_terminal_values(bundle, t) for t in terminals])
-    backward = _BackwardPass(bundle, driver, config)
+    backward = _BackwardPass(bundle, lams.pop(), config)
     sigma1 = bundle.params.decomp.sigma1
     y = values.copy()           # each column's value at the node above the step
     xi = values.copy()

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bsde import driver_state, solve_quadratic_bsde, terminal_condition
+from .bsde import solve_quadratic_bsde, terminal_condition
 from .config import EXPERIMENTS, ScenarioConfig, apply_overrides, parse_config
 from .errors import LiqLabError, NumericalFailure, ValidationFailure
 from .ledger import (
@@ -125,8 +125,7 @@ def _cmd_bsde(cfg: ScenarioConfig, out_dir: Path) -> None:
     bcfg = cfg.bsde_config()
     trunc = truncate_payoff(cfg.payoff(), bcfg.n_trunc)
     terminal = terminal_condition(bundle, trunc, x_units=1.0, lam=0.0)
-    driver = driver_state(bundle, lam=0.0)
-    sol = solve_quadratic_bsde(bundle, driver, terminal, bcfg)
+    sol = solve_quadratic_bsde(bundle, terminal, bcfg)
     diag = sol.diagnostics
     write_table(out_dir / "bsde_diagnostics.csv",
                 ["step", "alive", "cond", "picard_iters", "last_picard_delta"],
@@ -188,9 +187,8 @@ def run(subcommand: str, cfg: ScenarioConfig, out_dir) -> int:
     except NumericalFailure as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         diagnostics = {"error": type(exc).__name__, "message": str(exc)}
-        extra = getattr(exc, "diagnostics", None)
-        if extra:
-            diagnostics["detail"] = extra
+        if exc.diagnostics:
+            diagnostics["detail"] = exc.diagnostics
         _json_dump(diagnostics, out_dir / "diagnostics.json")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -17,6 +17,10 @@ class ValidationFailure(LiqLabError):
 class NumericalFailure(LiqLabError):
     """The computation itself broke down (rank loss, divergence, ...)."""
 
+    def __init__(self, message, diagnostics=None):
+        self.diagnostics = diagnostics
+        super().__init__(message)
+
 
 # -- validation side ---------------------------------------------------------
 
@@ -83,12 +87,8 @@ class SingularSystem(NumericalFailure):
 
 
 class RegressionRankDeficient(NumericalFailure):
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics
-        super().__init__(message)
+    pass
 
 
 class PicardDiverged(NumericalFailure):
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics
-        super().__init__(message)
+    pass

@@ -98,6 +98,11 @@ class VolCoeff:
             return True
         return self.lipschitz
 
+    @property
+    def vanishes(self) -> bool:
+        """Zero at every state: a constant 0 or a power with scale 0."""
+        return (self.scale if self.kind == "power" else self.level) == 0.0
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -128,6 +133,11 @@ class ModelParams:
             raise InvalidParams(
                 "alpha must differ from gamma: equal rates make the swap loading "
                 "matrix singular and the market cannot be completed"
+            )
+        if require_swap_hedging and (self.phi.vanishes or self.theta.vanishes):
+            raise InvalidParams(
+                "phi and theta must not vanish: a zero factor diffusion makes every "
+                "swap loading matrix degenerate and the market cannot be completed"
             )
 
     @property
@@ -194,7 +204,7 @@ def simulate_paths(
     u_raw = np.full(n_paths, params.u0)
     v_raw = np.full(n_paths, params.v0)
     for k in range(grid.n_steps):
-        dw1, dw2, dw3 = noise.dw[:, k, :].T.copy()
+        dw1, dw2, dw3 = noise.correlate(*noise.db[:, k, :].T.copy())
         # u[k], v[k] are max(u_raw, 0), max(v_raw, 0): the truncated states
         sig2 = u[k] + v[k]
         sig = np.sqrt(sig2)
@@ -247,19 +257,16 @@ def lambda_coeff(u_state, v_state, s_state, params: ModelParams):
     return mu_coeff(u, params) / (params.decomp.sigma1 ** 2 * sig2 * s ** 2)
 
 
-def driver_coefficient_paths(bundle: PathBundle) -> np.ndarray:
-    """lambda_coeff on every node with a guarded denominator.
+def driver_coefficient(u, v, s, params: ModelParams) -> np.ndarray:
+    """lambda_coeff at the states (u, v, s) with a guarded denominator.
 
-    Nodes where the state has degenerated (possible only after the solver's
-    stopping time, where the value is never consumed) get a zero instead of
-    an error.
+    States where Sigma^2 S^2 has degenerated (kept off the solver's alive
+    paths by its stopping rule) get a zero instead of an error.
     """
-    params = bundle.params
-    sig2 = bundle.u + bundle.v
-    den = params.decomp.sigma1 ** 2 * sig2 * bundle.s ** 2
+    den = params.decomp.sigma1 ** 2 * (u + v) * s ** 2
     good = den > _STATE_FLOOR
     out = np.zeros_like(den)
-    out[good] = mu_coeff(bundle.u[good], params) / den[good]
+    out[good] = mu_coeff(u[good], params) / den[good]
     return out
 
 

@@ -13,6 +13,7 @@ entries of L^-1,
 are the loadings of (W1, W2, W3) on the independent components and are
 used throughout swap pricing and hedge recovery.  The zero pattern
 (theta1 = theta2 = phi1 = 0) is a consequence of upper-triangularity.
+Only dB is stored; the market forms dW = L^-1 dB one step at a time.
 """
 
 from __future__ import annotations
@@ -138,15 +139,15 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class NoiseBlock:
-    """Independent increments dB and correlated increments dW = L^-1 dB.
+    """Independent increments dB, from which dW = L^-1 dB is formed on use.
 
-    Arrays are (n_paths, n_steps, 3); increments have variance dt per
+    db is (n_paths, n_steps, 3); increments have variance dt per
     component.  Bit-identical for a fixed (seed, grid, n_paths) and the
     noise of path i does not change when n_paths grows.
     """
 
     db: np.ndarray
-    dw: np.ndarray
+    tri_inv: np.ndarray     # L^-1 of the correlation decomposition
     dt: float
     seed: int
 
@@ -157,6 +158,19 @@ class NoiseBlock:
     @property
     def n_steps(self) -> int:
         return self.db.shape[1]
+
+    def correlate(self, b1, b2, b3):
+        """(dW1, dW2, dW3) = L^-1 (dB1, dB2, dB3), summed in the order of
+        np.einsum("pkj,ij->pki"), whose bits dW keeps."""
+        t = self.tri_inv
+        return (t[0, 0] * b1 + t[0, 2] * b3 + t[0, 1] * b2,
+                t[1, 2] * b3 + t[1, 1] * b2,
+                t[2, 2] * b3)
+
+    @property
+    def dw(self) -> np.ndarray:
+        """Correlated increments, (n_paths, n_steps, 3), built on each read."""
+        return np.stack(self.correlate(*np.moveaxis(self.db, -1, 0)), axis=-1)
 
 
 def decompose_correlation(corr: np.ndarray) -> CorrelationDecomposition:
@@ -220,8 +234,7 @@ def draw_noise(
         raise RuntimeError("bulk seeding no longer reproduces numpy's "
                            "default_rng((seed, i)) streams")
     db *= sqrt_dt
-    dw = np.einsum("pkj,ij->pki", db, decomp.tri_inv)
-    return NoiseBlock(db=db, dw=dw, dt=grid.dt, seed=seed)
+    return NoiseBlock(db=db, tri_inv=decomp.tri_inv, dt=grid.dt, seed=seed)
 
 
 def _pcg_seeds(seed: int, n_paths: int):

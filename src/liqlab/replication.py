@@ -11,12 +11,12 @@ between the realized impacted terminal quote and the adjusted terminal
 price used in the payoff.
 
 All runs on one report share a single path bundle (common random
-numbers), so x-comparisons are paired and low-variance.  The hat problem
-is one `solve_quadratic_bsde` plus `hedge_from_solution`, which keeps its
-full value, exposures and hedge (its delta enters every x-terminal).  The
-x-runs are one joint backward pass, `solve_and_hedge`: one regression
-basis per step and one hedge inversion per node for all unit counts,
-keeping per x only the stock position, xi, the estimate and the solver
+numbers), so x-comparisons are paired and low-variance, and one payoff
+truncation.  The hat problem is one `solve_quadratic_bsde` plus
+`hedge_from_solution` (its delta enters every x-terminal).  Each
+x-terminal, built once, carries its lambda and adjusted terminal price to
+the joint x-pass `solve_and_hedge` and to the impact-gap study; the pass
+keeps per x only the stock position, xi, the estimate and the solver
 diagnostics.  A failure in any x-run aborts the report; the first one in
 step order is raised.  Rank deficiency and a singular loading matrix
 surface in the hat solve first: its alive sets are those of the x-runs,
@@ -35,7 +35,7 @@ import numpy as np
 from .bsde import (
     BsdeConfig,
     BsdeSolution,
-    driver_state,
+    TerminalCondition,
     hedge_from_solution,
     solve_and_hedge,
     solve_quadratic_bsde,
@@ -49,41 +49,16 @@ from .payoffs import Payoff, TruncatedPayoff, truncate_payoff
 from .table import write_table
 
 
-@dataclass(frozen=True)
-class HatSolution:
-    """Frictionless value process and hedge, solved on a zero-illiquidity bundle."""
-
-    solution: BsdeSolution
-    yhat0: float
-    yhat0_stderr: float
-    trunc: TruncatedPayoff
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.solution.x
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.solution.xi
-
-
-def hat_solution(bundle_lin: PathBundle, payoff: Payoff, config: BsdeConfig) -> HatSolution:
-    """Solve the zero-impact problem with terminal h(S_T) and recover the hedge.
-
-    The payoff is truncated at the configured level; pick the level beyond
-    the payoff's range to make the truncation inert for bounded payoffs.
-    """
+def hat_solution(bundle_lin: PathBundle, trunc: TruncatedPayoff,
+                 config: BsdeConfig) -> BsdeSolution:
+    """Solve the zero-impact problem with terminal h^N(S_T) and recover the hedge."""
     if bundle_lin.params.epsilon != 0.0:
         raise InvalidParams("hat solution expects a bundle simulated with epsilon = 0")
-    trunc = truncate_payoff(payoff, config.n_trunc)
     terminal = terminal_condition(bundle_lin, trunc, x_units=1.0, lam=0.0)
-    driver = driver_state(bundle_lin, lam=0.0)
-    sol = solve_quadratic_bsde(bundle_lin, driver, terminal, config)
-    sol = hedge_from_solution(sol, bundle_lin)
-    return HatSolution(solution=sol, yhat0=sol.y0, yhat0_stderr=sol.y0_stderr, trunc=trunc)
+    return hedge_from_solution(solve_quadratic_bsde(bundle_lin, terminal, config), bundle_lin)
 
 
-def h_prime_zero(bundle: PathBundle, hat: HatSolution, lam: float):
+def h_prime_zero(bundle: PathBundle, hat: BsdeSolution, trunc: TruncatedPayoff, lam: float):
     """Monte Carlo estimate of the liquidity premium per unit at x = 0.
 
     Two terms: the accumulated depth drift weighted by the squared
@@ -91,33 +66,26 @@ def h_prime_zero(bundle: PathBundle, hat: HatSolution, lam: float):
     truncation band) times the delta-weighted depth turnover.  Both sums
     run to the stopping node, where the hedge is already zero.
     """
-    if hat.trunc.base.derivative is None:
-        raise MissingDerivative(f"payoff {hat.trunc.base.label} has no derivative")
+    if trunc.base.derivative is None:
+        raise MissingDerivative(f"payoff {trunc.base.label} has no derivative")
     dt = bundle.grid.dt
     x_hat = hat.x[:, :-1]
     term1 = lam * np.sum(mu_coeff(bundle.u[:, :-1], bundle.params) * x_hat ** 2, axis=1) * dt
     dm = np.diff(bundle.m, axis=1)
     s_term = bundle.s[:, -1]
-    slope = hat.trunc.base.d(s_term) * (s_term <= hat.trunc.level)
+    slope = trunc.base.d(s_term) * (s_term <= trunc.level)
     term2 = 2.0 * lam * slope * np.sum(x_hat * dm, axis=1)
     omega = term1 - term2
     n = omega.shape[0]
     return float(omega.mean()), float(omega.std(ddof=1) / np.sqrt(n))
 
 
-def impact_error(
-    bundle: PathBundle,
-    hat: HatSolution,
-    solution_x: BsdeSolution,
-    x_units: float,
-    lam: float,
-):
+def impact_error(bundle: PathBundle, terminal: TerminalCondition, solution_x: BsdeSolution):
     """Mean squared gap between the impacted terminal quote and the
-    adjusted terminal price, under the recovered hedge of the x-run."""
+    adjusted terminal price of the x-run's terminal, under its recovered hedge."""
     if solution_x.x is None:
         raise InvalidParams("solution has no recovered hedge; call hedge_from_solution")
-    terminal = terminal_condition(bundle, hat.trunc, x_units, lam, hat.x)
-    quotes = impacted_quote_path(bundle, solution_x.x, lam)
+    quotes = impacted_quote_path(bundle, solution_x.x, terminal.lam)
     gap = quotes.s0_post[:, -1] - terminal.s_tilde
     sq = gap ** 2
     n = sq.shape[0]
@@ -211,12 +179,13 @@ def replication_cost_curve(
         raise InvalidParams("unit counts must be nonzero and distinct")
     params.validate(require_swap_hedging=True)
     lam = params.lambda_impact
+    trunc = truncate_payoff(payoff, config.n_trunc)
 
     bundle = simulate_paths(params, grid, n_paths, seed)
     # epsilon only scales the depth, so the zero-illiquidity bundle is the
     # same paths with M = 0: bitwise what simulate_paths gives at epsilon = 0.
     bundle_lin = replace(bundle, params=with_epsilon(params, 0.0), m=np.zeros_like(bundle.m))
-    hat = hat_solution(bundle_lin, payoff, config)
+    hat = hat_solution(bundle_lin, trunc, config)
 
     n = bundle.n_paths
     y0s, h0s, h0_errs = [], [], []
@@ -225,9 +194,9 @@ def replication_cost_curve(
     per_path_diffs = {}
     smallness_warning = False
 
-    terminals = [terminal_condition(bundle, hat.trunc, x, lam, hat.x) for x in xs]
-    runs = solve_and_hedge(bundle, driver_state(bundle, lam), terminals, config)
-    for x, sol in zip(xs, runs):
+    terminals = [terminal_condition(bundle, trunc, x, lam, hat.x) for x in xs]
+    runs = solve_and_hedge(bundle, terminals, config)
+    for x, terminal, sol in zip(xs, terminals, runs):
         if not sol.diagnostics.smallness_ok:
             smallness_warning = True
             warnings.warn(f"x = {x:g} outside the contraction smallness regime",
@@ -242,11 +211,11 @@ def replication_cost_curve(
         alive = np.arange(bundle.n_nodes)[None, :] < sol.tau_index[:, None]
         gap = (sol.x / x - hat.x)[alive]
         delta_l2.append(float(np.mean(gap ** 2)) if gap.size else 0.0)
-        mse, mse_err = impact_error(bundle, hat, sol, x, lam)
+        mse, mse_err = impact_error(bundle, terminal, sol)
         imp_errs.append(mse)
         imp_stderrs.append(mse_err)
 
-    hp_an, hp_an_err = h_prime_zero(bundle, hat, lam)
+    hp_an, hp_an_err = h_prime_zero(bundle, hat, trunc, lam)
     order = np.argsort(np.abs(xs))
     x2 = float(xs[order[0]])
     if len(xs) >= 2:
@@ -264,7 +233,7 @@ def replication_cost_curve(
         diff_means=np.array(diff_means), diff_stderrs=np.array(diff_errs),
         delta_l2=np.array(delta_l2),
         impact_errs=np.array(imp_errs), impact_stderrs=np.array(imp_stderrs),
-        yhat0=hat.yhat0, yhat0_stderr=hat.yhat0_stderr,
+        yhat0=hat.y0, yhat0_stderr=hat.y0_stderr,
         hprime0_analytic=hp_an, hprime0_analytic_stderr=hp_an_err,
         hprime0_fd=hp_fd, hprime0_fd_stderr=hp_fd_err,
         h0_slope=_loglog_slope(np.abs(xs), np.abs(diff_means)),

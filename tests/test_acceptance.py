@@ -138,7 +138,7 @@ def test_criterion_4_linear_solver_oracle(default_cfg):
 
     bundle = ll.simulate_paths(params, grid, 100_000, seed=606)
     term = ll.terminal_condition(bundle, trunc, x_units=1.0, lam=0.0)
-    sol = ll.solve_quadratic_bsde(bundle, ll.driver_state(bundle, 0.0), term, config)
+    sol = ll.solve_quadratic_bsde(bundle, term, config)
 
     oracle_bundle = ll.simulate_paths(params, grid, 100_000, seed=70707)
     oracle = trunc(oracle_bundle.s[:, -1])

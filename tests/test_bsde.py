@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from liqlab import bsde
 from liqlab import (
     BsdeConfig,
     call_ramp,
     constant_payoff,
-    driver_state,
     hedge_from_solution,
     identity_payoff,
     simulate_paths,
@@ -144,14 +146,14 @@ class TestSolve:
         _, _, bundle, config, trunc = bsde_setup
         term = terminal_condition(bundle, truncate_payoff(constant_payoff(3.25), 10.0),
                                   x_units=1.0, lam=0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         npt.assert_allclose(sol.y, 3.25, rtol=1e-12)
         npt.assert_allclose(sol.z, 0.0, atol=1e-10)
 
     def test_zero_lambda_matches_plain_monte_carlo(self, bsde_setup):
         cfg, params, bundle, config, trunc = bsde_setup
         term = terminal_condition(bundle, trunc, x_units=1.0, lam=0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         # mean preservation: the solver value is the sample mean on this bundle
         assert sol.y0 == pytest.approx(term.values.mean(), rel=1e-9)
         # independent-seed oracle
@@ -172,7 +174,7 @@ class TestSolve:
         config = BsdeConfig(l_trunc=50.0, n_trunc=10_000.0)
         trunc = truncate_payoff(identity_payoff(), config.n_trunc)
         term = terminal_condition(bundle, trunc, x_units=1.0, lam=0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         assert sol.y0 == pytest.approx(term.values.mean(), rel=1e-9)
         assert abs(sol.y0 - params.s0) < 3 * sol.y0_stderr
         # stock position from the first exposure equals one along the paths
@@ -185,19 +187,19 @@ class TestSolve:
         _, _, bundle, config, trunc = bsde_setup
         hat = np.zeros((bundle.n_paths, bundle.n_nodes))
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
-        sol0 = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol0 = solve_quadratic_bsde(bundle, term, config)
         term_l = terminal_condition(bundle, trunc, 1.0, 0.8, hat)
-        sol1 = solve_quadratic_bsde(bundle, driver_state(bundle, 0.8), term_l, config)
+        sol1 = solve_quadratic_bsde(bundle, term_l, config)
         assert sol1.y0 >= sol0.y0 - 2 * sol0.y0_stderr
 
     def test_comparison_in_terminal(self, bsde_setup):
         _, _, bundle, config, trunc = bsde_setup
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         bumped = terminal_condition(bundle,
                                     truncate_payoff(call_ramp(90.0, 100.0),
                                                     config.n_trunc), 1.0, 0.0)
-        sol_up = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), bumped, config)
+        sol_up = solve_quadratic_bsde(bundle, bumped, config)
         assert (bumped.values >= term.values).all()
         assert sol_up.y0 >= sol.y0 - 2 * sol.y0_stderr
 
@@ -208,7 +210,7 @@ class TestSolve:
         trunc = truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc)
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
         with pytest.raises(RegressionRankDeficient):
-            solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+            solve_quadratic_bsde(bundle, term, config)
 
     def test_degenerate_run_flag(self, default_config):
         bundle = simulate_paths(default_config.model_params(),
@@ -216,7 +218,7 @@ class TestSolve:
         config = BsdeConfig(l_trunc=1.01, n_trunc=400.0)  # Sigma_0 below 1/L
         trunc = truncate_payoff(call_ramp(100.0, 100.0), 400.0)
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         assert sol.degenerate
         assert sol.y0 == pytest.approx(term.values.mean())
         npt.assert_array_equal(sol.z, 0.0)
@@ -227,7 +229,7 @@ class TestSolve:
         config = BsdeConfig(l_trunc=5.2, n_trunc=400.0)
         trunc = truncate_payoff(call_ramp(100.0, 100.0), 400.0)
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         stopped = sol.tau_index < bundle.n_nodes - 1
         assert stopped.any()
         for p in np.flatnonzero(stopped)[:10]:
@@ -245,8 +247,7 @@ class TestSolve:
         hat = np.full((bundle.n_paths, bundle.n_nodes), 0.5)
         hat[:, -1] = 0.0
         term = terminal_condition(bundle, trunc, 100.0, 0.5, hat)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.5),
-                                   term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         diag = sol.diagnostics
         assert diag.smallness_ok
         # the flag mirrors the recorded extremes: regression tails may
@@ -267,7 +268,7 @@ class TestHedge:
         term = terminal_condition(bundle,
                                   truncate_payoff(constant_payoff(1.0), 10.0),
                                   1.0, 0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         sol = hedge_from_solution(sol, bundle)
         npt.assert_allclose(sol.x, 0.0, atol=1e-10)
         npt.assert_allclose(sol.chi1, 0.0, atol=1e-8)
@@ -279,7 +280,7 @@ class TestHedge:
         config = BsdeConfig(l_trunc=5.2, n_trunc=400.0)
         trunc = truncate_payoff(call_ramp(100.0, 100.0), 400.0)
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         sol = hedge_from_solution(sol, bundle)
         for p in range(50):
             tau = sol.tau_index[p]
@@ -295,7 +296,7 @@ class TestHedge:
         config = cfg.bsde_config()
         trunc = truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc)
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term, config)
+        sol = solve_quadratic_bsde(bundle, term, config)
         sol = hedge_from_solution(sol, bundle)
         specs = cfg.swap_specs()
         g1 = swap_price_paths(bundle, specs[0])
@@ -324,7 +325,7 @@ class TestHedge:
 
 
 def _unit_count_runs(cfg, n_paths, xs):
-    """A bundle, its active driver and one impact-adjusted terminal per unit count."""
+    """A bundle and one impact-adjusted terminal per unit count, all at one lambda."""
     params = cfg.model_params()
     bundle = simulate_paths(params, cfg.time_grid(), n_paths, seed=3)
     config = cfg.bsde_config()
@@ -333,7 +334,7 @@ def _unit_count_runs(cfg, n_paths, xs):
     hat = np.full((bundle.n_paths, bundle.n_nodes), 0.5)
     hat[:, -1] = 0.0
     terminals = [terminal_condition(bundle, trunc, x, lam, hat) for x in xs]
-    return bundle, driver_state(bundle, lam), terminals, config
+    return bundle, terminals, config
 
 
 class TestJointPass:
@@ -344,12 +345,12 @@ class TestJointPass:
         (50.0, "all alive"), (5.2, "some stopped"), (1.01, "degenerate")])
     def test_equals_separate_solves(self, default_config, l_trunc, regime):
         cfg = override(default_config, grid__n_steps=16, bsde__l_trunc=l_trunc)
-        bundle, driver, terminals, config = _unit_count_runs(cfg, 300, (200.0, 50.0, -25.0))
-        runs = solve_and_hedge(bundle, driver, terminals, config)
+        bundle, terminals, config = _unit_count_runs(cfg, 300, (200.0, 50.0, -25.0))
+        runs = solve_and_hedge(bundle, terminals, config)
         assert len(runs) == len(terminals)
         for terminal, run in zip(terminals, runs):
             sol = hedge_from_solution(
-                solve_quadratic_bsde(bundle, driver, terminal, config), bundle)
+                solve_quadratic_bsde(bundle, terminal, config), bundle)
             npt.assert_array_equal(run.x, sol.x)
             npt.assert_array_equal(run.xi, sol.xi)
             npt.assert_array_equal(run.tau_index, sol.tau_index)
@@ -373,16 +374,28 @@ class TestJointPass:
         else:
             assert runs[0].degenerate
 
+    def test_terminals_of_different_lambda_rejected(self, default_config, monkeypatch):
+        cfg = override(default_config, grid__n_steps=16)
+        bundle, terminals, config = _unit_count_runs(cfg, 300, (200.0, 50.0))
+        mixed = [terminals[0], dataclasses.replace(terminals[1], lam=terminals[1].lam / 2)]
+
+        def no_pass(*args):
+            raise AssertionError("the backward pass started")
+
+        monkeypatch.setattr(bsde, "_BackwardPass", no_pass)
+        with pytest.raises(InvalidParams, match="one impact fraction"):
+            solve_and_hedge(bundle, mixed, config)
+
     def test_stock_position_needs_no_loading_matrix(self, default_config):
         # theta = 0 makes every loading matrix degenerate: the hedge
         # inversion raises, the x-pass still forms X = Z1 / (sigma1 Sigma S)
         cfg = override(default_config, grid__n_steps=16, bsde__l_trunc=5.2,
                        model__theta_kind="constant", model__theta_level=0.0)
-        bundle, driver, terminals, config = _unit_count_runs(cfg, 300, (200.0, 50.0, -25.0))
-        runs = solve_and_hedge(bundle, driver, terminals, config)
+        bundle, terminals, config = _unit_count_runs(cfg, 300, (200.0, 50.0, -25.0))
+        runs = solve_and_hedge(bundle, terminals, config)
         sigma1 = bundle.params.decomp.sigma1
         for terminal, run in zip(terminals, runs):
-            sol = solve_quadratic_bsde(bundle, driver, terminal, config)
+            sol = solve_quadratic_bsde(bundle, terminal, config)
             alive = np.arange(bundle.n_nodes)[None, :] < sol.tau_index[:, None]
             want = np.where(alive, sol.z[..., 0] / (sigma1 * (bundle.sigma * bundle.s)), 0.0)
             npt.assert_array_equal(run.x, want)
@@ -400,10 +413,9 @@ class TestMemory:
         config = default_config.bsde_config()
         trunc = truncate_payoff(default_config.payoff(), config.n_trunc)
         term = terminal_condition(bundle, trunc, 1.0, 0.0)
-        driver = driver_state(bundle, 0.0)
 
         sol, solve_peak = traced_peak(
-            lambda: solve_quadratic_bsde(bundle, driver, term, config))
+            lambda: solve_quadratic_bsde(bundle, term, config))
         solve_bytes = sol.y.nbytes + sol.z.nbytes + sol.xi.nbytes + sol.tau_index.nbytes
         assert solve_peak <= 1.5 * solve_bytes
 
@@ -413,8 +425,8 @@ class TestMemory:
 
     def test_joint_pass_peak(self, default_config):
         xs = (200.0, 100.0, 50.0, 25.0)
-        bundle, driver, terminals, config = _unit_count_runs(default_config, 2000, xs)
-        runs, peak = traced_peak(lambda: solve_and_hedge(bundle, driver, terminals, config))
+        bundle, terminals, config = _unit_count_runs(default_config, 2000, xs)
+        runs, peak = traced_peak(lambda: solve_and_hedge(bundle, terminals, config))
         # per unit count the pass keeps X and xi; z lives one node at a time
         kept = sum(run.x.nbytes + run.xi.nbytes for run in runs) + runs[0].tau_index.nbytes
         assert peak <= 1.5 * kept

@@ -124,6 +124,9 @@ class TestValidation:
         ("replicate", ["run.n_x=0"]),
         ("replicate", ["run.x0=0"]),
         ("simulate", ["run.seed=-1"]),
+        ("replicate", ["model.theta_kind=constant", "model.theta_level=0"]),
+        ("bsde", ["model.phi_kind=constant", "model.phi_level=0"]),
+        ("swaps", ["model.theta_scale=0"]),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)

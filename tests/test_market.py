@@ -137,7 +137,7 @@ class TestForwardLayout:
         grid = default_config.time_grid()
         bundle, peak = traced_peak(lambda: simulate_paths(params, grid, 2000, seed=909))
         kept = sum(getattr(bundle, name).nbytes for name in BUNDLE_ARRAYS)
-        kept += bundle.noise.db.nbytes + bundle.noise.dw.nbytes
+        kept += bundle.noise.db.nbytes
         assert peak <= 1.05 * kept
 
 

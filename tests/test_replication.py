@@ -17,14 +17,14 @@ from liqlab import (
     stopping_index,
 )
 from liqlab import bsde, replication
-from liqlab.bsde import driver_state, solve_quadratic_bsde, terminal_condition
+from liqlab.bsde import hedge_from_solution, solve_quadratic_bsde, terminal_condition
 from liqlab.errors import (
     InvalidParams,
     MissingDerivative,
     SingularSystem,
 )
 from liqlab.market import with_epsilon
-from liqlab.payoffs import Payoff
+from liqlab.payoffs import Payoff, truncate_payoff
 
 from conftest import override
 
@@ -38,14 +38,17 @@ class TestHatSolution:
     def test_requires_zero_illiquidity_bundle(self, default_config):
         bundle = simulate_paths(default_config.model_params(),
                                 default_config.time_grid(), 64, seed=1)
+        config = default_config.bsde_config()
         with pytest.raises(InvalidParams):
-            hat_solution(bundle, call_ramp(100.0, 100.0), default_config.bsde_config())
+            hat_solution(bundle, truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc),
+                         config)
 
     def test_constant_payoff_flat_value_zero_delta(self, default_config):
         cfg = override(default_config, grid__n_steps=32)
         bundle = lin_bundle(cfg, 600, seed=2)
-        hat = hat_solution(bundle, constant_payoff(4.0), cfg.bsde_config())
-        npt.assert_allclose(hat.solution.y, 4.0, rtol=1e-12)
+        config = cfg.bsde_config()
+        hat = hat_solution(bundle, truncate_payoff(constant_payoff(4.0), config.n_trunc), config)
+        npt.assert_allclose(hat.y, 4.0, rtol=1e-12)
         npt.assert_allclose(hat.x, 0.0, atol=1e-10)
 
     def test_identity_payoff_near_deterministic_factors(self, default_config):
@@ -56,19 +59,20 @@ class TestHatSolution:
                        model__theta_kind="constant", model__theta_level=1e-6,
                        grid__n_steps=16, bsde__n_trunc=10_000.0)
         bundle = lin_bundle(cfg, 20_000, seed=3)
-        hat = hat_solution(bundle, identity_payoff(), cfg.bsde_config())
-        assert abs(hat.yhat0 - bundle.params.s0) < 3 * hat.yhat0_stderr
+        config = cfg.bsde_config()
+        hat = hat_solution(bundle, truncate_payoff(identity_payoff(), config.n_trunc), config)
+        assert abs(hat.y0 - bundle.params.s0) < 3 * hat.y0_stderr
         mid = 8
-        alive = hat.solution.tau_index > mid
+        alive = hat.tau_index > mid
         npt.assert_allclose(np.median(hat.x[alive, mid]), 1.0, atol=0.05)
         # the fitted swap-exposure residual is small against the stock exposure
         d = bundle.params.decomp
-        resid = (hat.solution.z[alive, mid, 1]
+        resid = (hat.z[alive, mid, 1]
                  - d.sigma2 * bundle.sigma[alive, mid] * bundle.s[alive, mid]
                  * hat.x[alive, mid])
-        assert np.median(np.abs(resid)) < 0.2 * np.median(np.abs(hat.solution.z[alive, mid, 1]))
+        assert np.median(np.abs(resid)) < 0.2 * np.median(np.abs(hat.z[alive, mid, 1]))
         # value process tracks the price path
-        corr = np.corrcoef(hat.solution.y[alive, mid], bundle.s[alive, mid])[0, 1]
+        corr = np.corrcoef(hat.y[alive, mid], bundle.s[alive, mid])[0, 1]
         assert corr > 0.999
 
     def test_fully_deterministic_factors_make_completion_singular(self, default_config):
@@ -78,30 +82,35 @@ class TestHatSolution:
                        model__theta_kind="constant", model__theta_level=0.0,
                        grid__n_steps=8, bsde__n_trunc=10_000.0)
         bundle = lin_bundle(cfg, 200, seed=4)
+        config = cfg.bsde_config()
         with pytest.raises(SingularSystem):
-            hat_solution(bundle, identity_payoff(), cfg.bsde_config())
+            hat_solution(bundle, truncate_payoff(identity_payoff(), config.n_trunc), config)
 
     def test_value_matches_plain_monte_carlo(self, default_config):
         cfg = override(default_config, grid__n_steps=32)
         bundle = lin_bundle(cfg, 8000, seed=5)
         payoff = call_ramp(100.0, 100.0)
-        hat = hat_solution(bundle, payoff, cfg.bsde_config())
+        config = cfg.bsde_config()
+        trunc = truncate_payoff(payoff, config.n_trunc)
+        hat = hat_solution(bundle, trunc, config)
         # mean preservation on the same bundle
-        assert hat.yhat0 == pytest.approx(hat.trunc(bundle.s[:, -1]).mean(), rel=1e-9)
+        assert hat.y0 == pytest.approx(trunc(bundle.s[:, -1]).mean(), rel=1e-9)
         # independent-seed oracle
         other = lin_bundle(cfg, 12_000, seed=1005)
         mc = payoff(other.s[:, -1])
-        se = np.hypot(hat.yhat0_stderr, mc.std(ddof=1) / np.sqrt(mc.shape[0]))
-        assert abs(hat.yhat0 - mc.mean()) < 3 * se
+        se = np.hypot(hat.y0_stderr, mc.std(ddof=1) / np.sqrt(mc.shape[0]))
+        assert abs(hat.y0 - mc.mean()) < 3 * se
 
     def test_exposures_reproduce_value_increments(self, default_config):
         cfg = override(default_config, grid__n_steps=32)
         bundle = lin_bundle(cfg, 20_000, seed=6)
-        hat = hat_solution(bundle, call_ramp(100.0, 100.0), cfg.bsde_config())
+        config = cfg.bsde_config()
+        hat = hat_solution(bundle, truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc),
+                           config)
         k = 16
-        alive = hat.solution.tau_index > k + 1
-        dy = hat.solution.y[alive, k + 1] - hat.solution.y[alive, k]
-        pred = np.einsum("pj,pj->p", hat.solution.z[alive, k, :],
+        alive = hat.tau_index > k + 1
+        dy = hat.y[alive, k + 1] - hat.y[alive, k]
+        pred = np.einsum("pj,pj->p", hat.z[alive, k, :],
                          bundle.noise.db[alive, k, :])
         slope = pred @ dy / (pred @ pred)
         assert abs(slope - 1.0) < 0.1
@@ -109,17 +118,17 @@ class TestHatSolution:
     def test_delta_against_bump_and_revalue(self, default_config):
         cfg = override(default_config, grid__n_steps=32)
         config = cfg.bsde_config()
-        payoff = call_ramp(100.0, 100.0)
+        trunc = truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc)
 
         def y0_at(s0_shift):
             params = dataclasses.replace(with_epsilon(cfg.model_params(), 0.0),
                                          s0=cfg.model_params().s0 + s0_shift)
             bundle = simulate_paths(params, cfg.time_grid(), 50_000, seed=7)
-            return hat_solution(bundle, payoff, config)
+            return hat_solution(bundle, trunc, config)
 
         hat = y0_at(0.0)
         up, down = y0_at(1.0), y0_at(-1.0)
-        fd_delta = (up.yhat0 - down.yhat0) / 2.0
+        fd_delta = (up.y0 - down.y0) / 2.0
         assert hat.x[0, 0] == pytest.approx(fd_delta, abs=0.05)
 
 
@@ -127,16 +136,19 @@ class TestHPrimeZero:
     def test_zero_when_no_impact(self, default_config):
         cfg = override(default_config, grid__n_steps=32)
         bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 2000, seed=8)
-        hat = hat_solution(lin_bundle(cfg, 2000, 8), call_ramp(100.0, 100.0),
-                           cfg.bsde_config())
-        value, stderr = h_prime_zero(bundle, hat, lam=0.0)
+        config = cfg.bsde_config()
+        trunc = truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc)
+        hat = hat_solution(lin_bundle(cfg, 2000, 8), trunc, config)
+        value, stderr = h_prime_zero(bundle, hat, trunc, lam=0.0)
         assert value == 0.0 and stderr == 0.0
 
     def test_zero_when_depth_constant(self, default_config):
         cfg = override(default_config, model__epsilon=0.0, grid__n_steps=32)
         bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 2000, seed=9)
-        hat = hat_solution(bundle, call_ramp(100.0, 100.0), cfg.bsde_config())
-        value, _ = h_prime_zero(bundle, hat, lam=0.6)
+        config = cfg.bsde_config()
+        trunc = truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc)
+        hat = hat_solution(bundle, trunc, config)
+        value, _ = h_prime_zero(bundle, hat, trunc, lam=0.6)
         assert value == 0.0
 
     def test_missing_derivative(self, default_config):
@@ -144,9 +156,11 @@ class TestHPrimeZero:
         bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 2000, seed=10)
         bare = Payoff(fn=lambda y: np.clip(y - 100.0, 0.0, 50.0), lipschitz=1.0,
                       label="bare", derivative=None, bounded=True)
-        hat = hat_solution(lin_bundle(cfg, 2000, 10), bare, cfg.bsde_config())
+        config = cfg.bsde_config()
+        trunc = truncate_payoff(bare, config.n_trunc)
+        hat = hat_solution(lin_bundle(cfg, 2000, 10), trunc, config)
         with pytest.raises(MissingDerivative):
-            h_prime_zero(bundle, hat, lam=0.5)
+            h_prime_zero(bundle, hat, trunc, lam=0.5)
 
 
 class TestReplicationCostCurve:
@@ -243,12 +257,12 @@ class TestUnitCountPass:
         assert calls == {"psi_matrix": nodes, "invert_hedge": nodes}
 
     def test_singular_loading_matrix_raises(self, default_config):
-        cfg = override(default_config, model__theta_kind="constant",
-                       model__theta_level=0.0, grid__n_steps=32)
-        with pytest.raises(SingularSystem):
-            replication_cost_curve(cfg.model_params(), cfg.time_grid(),
-                                   call_ramp(100.0, 100.0), [50.0, 25.0],
-                                   300, 17, cfg.bsde_config())
+        # on this coarse grid full-truncation Euler puts U at exactly 0 on
+        # some alive paths, where Phi(0) = 0 makes the loading matrix degenerate
+        cfg = override(default_config, grid__n_steps=8)
+        with pytest.raises(SingularSystem, match="node 1"):
+            replication_cost_curve(cfg.model_params(), cfg.time_grid(), cfg.payoff(),
+                                   [50.0], 400, 5, cfg.bsde_config())
 
 
 class TestImpactError:
@@ -256,29 +270,24 @@ class TestImpactError:
         cfg = override(default_config, model__lambda_impact=0.0, grid__n_steps=32)
         params = cfg.model_params()
         bundle = simulate_paths(params, cfg.time_grid(), 2000, seed=14)
-        hat = hat_solution(lin_bundle(cfg, 2000, 14), call_ramp(100.0, 100.0),
-                           cfg.bsde_config())
-        term = terminal_condition(bundle, hat.trunc, 20.0, 0.0, hat.x)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.0), term,
-                                   cfg.bsde_config())
-        from liqlab.bsde import hedge_from_solution
-
-        sol = hedge_from_solution(sol, bundle)
-        mse, _ = impact_error(bundle, hat, sol, 20.0, 0.0)
+        config = cfg.bsde_config()
+        trunc = truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc)
+        hat = hat_solution(lin_bundle(cfg, 2000, 14), trunc, config)
+        term = terminal_condition(bundle, trunc, 20.0, 0.0, hat.x)
+        sol = hedge_from_solution(solve_quadratic_bsde(bundle, term, config), bundle)
+        mse, _ = impact_error(bundle, term, sol)
         assert mse == 0.0
 
     def test_zero_epsilon_zero_gap(self, default_config):
         cfg = override(default_config, model__epsilon=0.0, grid__n_steps=32)
         params = cfg.model_params()
         bundle = simulate_paths(params, cfg.time_grid(), 2000, seed=15)
-        hat = hat_solution(bundle, call_ramp(100.0, 100.0), cfg.bsde_config())
-        term = terminal_condition(bundle, hat.trunc, 20.0, 0.6, hat.x)
-        sol = solve_quadratic_bsde(bundle, driver_state(bundle, 0.6), term,
-                                   cfg.bsde_config())
-        from liqlab.bsde import hedge_from_solution
-
-        sol = hedge_from_solution(sol, bundle)
-        mse, _ = impact_error(bundle, hat, sol, 20.0, 0.6)
+        config = cfg.bsde_config()
+        trunc = truncate_payoff(call_ramp(100.0, 100.0), config.n_trunc)
+        hat = hat_solution(bundle, trunc, config)
+        term = terminal_condition(bundle, trunc, 20.0, 0.6, hat.x)
+        sol = hedge_from_solution(solve_quadratic_bsde(bundle, term, config), bundle)
+        mse, _ = impact_error(bundle, term, sol)
         assert mse == 0.0
 
 
@@ -290,7 +299,7 @@ def test_hat_bundle_equals_zero_epsilon_simulation(monkeypatch, default_config, 
     params, grid = cfg.model_params(), cfg.time_grid()
     seen = []
 
-    def capture(bundle_lin, payoff, config):
+    def capture(bundle_lin, trunc, config):
         seen.append(bundle_lin)
         raise StopIteration  # the solves are not under test
 
