@@ -41,7 +41,7 @@ import dataclasses
 
 params_eq = dataclasses.replace(params, alpha=params.gamma)
 psi_eq = psi_matrix(times[None, :], bundle.u, bundle.v, bundle.s, params_eq,
-                    grid.t1, grid.t2, allow_singular=True)
+                    grid.t1, grid.t2)
 print(f"max |det psi| at alpha == gamma: {np.abs(psi_eq.det()).max():.3e} "
       f"(the swaps become redundant)")
 

@@ -24,7 +24,7 @@ from .market import (
     ModelParams,
     PathBundle,
     VolCoeff,
-    lambda_coeff,
+    driver_coefficient,
     mu_coeff,
     simulate_paths,
     zeta_coeff,

@@ -98,8 +98,7 @@ def _cmd_swaps(cfg: ScenarioConfig, out_dir: Path) -> None:
     times = grid.times()
     n_show = min(10, bundle.n_paths)
     psi = psi_matrix(times[None, :], bundle.u[:n_show], bundle.v[:n_show],
-                     bundle.s[:n_show], params, spec1.maturity, spec2.maturity,
-                     allow_singular=True)
+                     bundle.s[:n_show], params, spec1.maturity, spec2.maturity)
     dets = psi.det()
     write_table(out_dir / "swaps.csv", ["path", "step", "t", "G1", "G2", "det_psi"],
                 [*grid_index(n_show, times), g1[:n_show], g2[:n_show], dets])

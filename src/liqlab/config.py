@@ -264,11 +264,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if section is None:
             raise ParseError("key assignment before any [section] header", line_no)
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if (section, key) not in SCHEMA:
-            raise ParseError(f"unknown key {section}.{key}", line_no)
         try:
-            cfg.values[(section, key)] = _coerce(section, key, raw)
+            cfg.set(section, key.strip(), raw)
         except ParseError as exc:
             raise ParseError(str(exc), line_no) from None
     return cfg

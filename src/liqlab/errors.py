@@ -48,10 +48,6 @@ class MaturityPassed(ValidationFailure):
     pass
 
 
-class SingularConfig(ValidationFailure):
-    pass
-
-
 class NotSubmartingaleParams(ValidationFailure):
     pass
 

@@ -11,7 +11,7 @@ at max(state, 0)); the price uses an exact-log step so it stays positive.
 The stored U, V are the truncated values, which keeps Sigma^2 = U + V and
 M = epsilon * Gamma(U) node-exact.
 
-mu_coeff / zeta_coeff / lambda_coeff are the depth drift, the depth
+mu_coeff / zeta_coeff / driver_coefficient are the depth drift, the depth
 diffusion weight and the quadratic-driver coefficient used by the
 backward solver.  They take the U-state directly: the depth is a known
 monotone function of U, so there is no need to invert it numerically.
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateState, InvalidParams, ZeroPaths
+from .errors import DegenerateState, InvalidParams
 from .noise import CorrelationDecomposition, NoiseBlock, TimeGrid, draw_noise
 from .table import grid_index, write_table
 
@@ -64,27 +64,22 @@ class VolCoeff:
     """Diffusion coefficient spec for a variance factor.
 
     kind "power" evaluates v**exponent * scale, "constant" a fixed level.
-    condition_ok records whether the coefficient qualifies for the swap
-    representation (power exponent in [0, 1/2], or Lipschitz: a constant
-    or a linear power).
     """
 
     kind: str
     exponent: float = 0.5
     scale: float = 1.0
     level: float = 0.0
-    lipschitz: bool = False
 
     @staticmethod
     def power(exponent: float, scale: float = 1.0) -> "VolCoeff":
         if exponent < 0:
             raise InvalidParams("power exponent must be nonnegative")
-        return VolCoeff(kind="power", exponent=exponent, scale=scale,
-                        lipschitz=(exponent in (0.0, 1.0)))
+        return VolCoeff(kind="power", exponent=exponent, scale=scale)
 
     @staticmethod
     def constant(level: float) -> "VolCoeff":
-        return VolCoeff(kind="constant", level=level, lipschitz=True)
+        return VolCoeff(kind="constant", level=level)
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -94,9 +89,9 @@ class VolCoeff:
 
     @property
     def condition_ok(self) -> bool:
-        if self.kind == "power" and 0.0 <= self.exponent <= 0.5:
-            return True
-        return self.lipschitz
+        """Admissible for the swap representation: a constant, or a power
+        with exponent in [0, 1/2] or equal to 1 (Lipschitz)."""
+        return self.kind == "constant" or 0.0 <= self.exponent <= 0.5 or self.exponent == 1.0
 
     @property
     def vanishes(self) -> bool:
@@ -138,6 +133,11 @@ class ModelParams:
             raise InvalidParams(
                 "phi and theta must not vanish: a zero factor diffusion makes every "
                 "swap loading matrix degenerate and the market cannot be completed"
+            )
+        if require_swap_hedging and not self.swaps_condition_ok:
+            raise InvalidParams(
+                "phi and theta must be constants or powers with exponent in [0, 1/2] "
+                "or equal to 1: other coefficients are outside the swap representation"
             )
 
     @property
@@ -189,8 +189,6 @@ def simulate_paths(
     with the left-endpoint rule.
     """
     params.validate()
-    if n_paths == 0:
-        raise ZeroPaths("n_paths must be at least 1")
     noise = draw_noise(grid, params.decomp, n_paths, seed)
     dt = grid.dt
 
@@ -246,22 +244,12 @@ def zeta_coeff(u_state, params: ModelParams):
     return params.epsilon * params.phi(u) ** 2 * params.gamma_map.d1(u)
 
 
-def lambda_coeff(u_state, v_state, s_state, params: ModelParams):
-    """Quadratic-driver coefficient mu / (sigma1^2 * Sigma^2 * S^2)."""
-    u = np.asarray(u_state, dtype=float)
-    v = np.asarray(v_state, dtype=float)
-    s = np.asarray(s_state, dtype=float)
-    sig2 = u + v
-    if np.any(s < _STATE_FLOOR) or np.any(sig2 < _STATE_FLOOR):
-        raise DegenerateState("price or total variance too close to zero")
-    return mu_coeff(u, params) / (params.decomp.sigma1 ** 2 * sig2 * s ** 2)
-
-
 def driver_coefficient(u, v, s, params: ModelParams) -> np.ndarray:
-    """lambda_coeff at the states (u, v, s) with a guarded denominator.
+    """Quadratic-driver coefficient Lambda = mu / (sigma1^2 * Sigma^2 * S^2)
+    at the state arrays (u, v, s), with Sigma^2 = u + v.
 
-    States where Sigma^2 S^2 has degenerated (kept off the solver's alive
-    paths by its stopping rule) get a zero instead of an error.
+    States where sigma1^2 Sigma^2 S^2 is at most 1e-14 (kept off the
+    solver's alive paths by its stopping rule) get a zero instead.
     """
     den = params.decomp.sigma1 ** 2 * (u + v) * s ** 2
     good = den > _STATE_FLOOR

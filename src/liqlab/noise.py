@@ -56,9 +56,8 @@ _SEED_BLOCK = 65_536
 
 @dataclass(frozen=True)
 class CorrelationDecomposition:
-    """R together with L (R^-1 = L^T L) and Linv = L^-1 (R = Linv Linv^T)."""
+    """L (R^-1 = L^T L) and Linv = L^-1 (R = Linv Linv^T) of a correlation R."""
 
-    corr: np.ndarray
     tri: np.ndarray      # L, upper triangular
     tri_inv: np.ndarray  # L^-1, upper triangular
 
@@ -85,19 +84,6 @@ class CorrelationDecomposition:
     @property
     def theta3(self) -> float:
         return float(self.tri_inv[2, 2])
-
-    # fixed by the triangular convention
-    phi1 = 0.0
-    theta1 = 0.0
-    theta2 = 0.0
-
-    def vol_u_loadings(self) -> np.ndarray:
-        """(0, phi2, phi3): loadings of W2."""
-        return self.tri_inv[1].copy()
-
-    def vol_v_loadings(self) -> np.ndarray:
-        """(0, 0, theta3): loadings of W3."""
-        return self.tri_inv[2].copy()
 
 
 @dataclass(frozen=True)
@@ -148,16 +134,6 @@ class NoiseBlock:
 
     db: np.ndarray
     tri_inv: np.ndarray     # L^-1 of the correlation decomposition
-    dt: float
-    seed: int
-
-    @property
-    def n_paths(self) -> int:
-        return self.db.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.db.shape[1]
 
     def correlate(self, b1, b2, b3):
         """(dW1, dW2, dW3) = L^-1 (dB1, dB2, dB3), summed in the order of
@@ -197,7 +173,7 @@ def decompose_correlation(corr: np.ndarray) -> CorrelationDecomposition:
         )
     tri_inv = _EXCH @ lower @ _EXCH          # upper triangular, R = tri_inv tri_inv^T
     tri = np.linalg.inv(tri_inv)             # upper triangular, R^-1 = tri^T tri
-    return CorrelationDecomposition(corr=corr, tri=tri, tri_inv=tri_inv)
+    return CorrelationDecomposition(tri=tri, tri_inv=tri_inv)
 
 
 def draw_noise(
@@ -234,7 +210,7 @@ def draw_noise(
         raise RuntimeError("bulk seeding no longer reproduces numpy's "
                            "default_rng((seed, i)) streams")
     db *= sqrt_dt
-    return NoiseBlock(db=db, tri_inv=decomp.tri_inv, dt=grid.dt, seed=seed)
+    return NoiseBlock(db=db, tri_inv=decomp.tri_inv)
 
 
 def _pcg_seeds(seed: int, n_paths: int):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateState, GridMismatch, InvalidParams
-from .table import grid_index, write_table
 
 _DEPTH_FLOOR = 0.0
 
@@ -116,11 +115,3 @@ def impacted_quote_path(bundle, strategy, lam: float) -> ImpactedQuotePath:
     x = positions(getattr(strategy, "x", strategy), bundle.n_paths, bundle.n_nodes)
     shift = quote_shift(trade_flow(bundle.m, x)[1], lam)
     return ImpactedQuotePath(s0_pre=pre_trade_quote(bundle.s, shift), s0_post=bundle.s + shift)
-
-
-def export_quotes_csv(bundle, quotes: ImpactedQuotePath, strategy, path) -> None:
-    """Write (path, step, t, S, S0_pre, S0_post, X) rows."""
-    x = positions_2d(getattr(strategy, "x", strategy), bundle.n_paths, bundle.n_nodes)
-    write_table(path, ["path", "step", "t", "S", "S0_pre", "S0_post", "X"],
-                [*grid_index(bundle.n_paths, bundle.grid.times()),
-                 bundle.s, quotes.s0_pre, quotes.s0_post, x])

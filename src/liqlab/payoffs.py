@@ -20,14 +20,11 @@ class Payoff:
     """A Lipschitz payoff with (optionally) its a.e. derivative.
 
     derivative uses the right-derivative convention at kink points.
-    bounded marks payoffs that need no truncation for a finite value.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
     label: str
     derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    bounded: bool = False
 
     def __call__(self, y):
         return self.fn(np.asarray(y, dtype=float))
@@ -39,14 +36,12 @@ class Payoff:
 
 
 def identity_payoff() -> Payoff:
-    return Payoff(fn=lambda y: y, lipschitz=1.0, label="identity",
-                  derivative=lambda y: np.ones_like(y), bounded=False)
+    return Payoff(fn=lambda y: y, label="identity", derivative=lambda y: np.ones_like(y))
 
 
 def constant_payoff(value: float) -> Payoff:
     return Payoff(fn=lambda y: np.full_like(np.asarray(y, dtype=float), value),
-                  lipschitz=0.0, label=f"constant_{value:g}",
-                  derivative=lambda y: np.zeros_like(y), bounded=True)
+                  label=f"constant_{value:g}", derivative=lambda y: np.zeros_like(y))
 
 
 def call_ramp(strike: float, cap: float) -> Payoff:
@@ -60,8 +55,7 @@ def call_ramp(strike: float, cap: float) -> Payoff:
     def deriv(y):
         return np.where((y >= strike) & (y < strike + cap), 1.0, 0.0)
 
-    return Payoff(fn=fn, lipschitz=1.0, label=f"call_ramp_{strike:g}_{cap:g}",
-                  derivative=deriv, bounded=True)
+    return Payoff(fn=fn, label=f"call_ramp_{strike:g}_{cap:g}", derivative=deriv)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .bsde import (
     solve_quadratic_bsde,
     terminal_condition,
 )
-from .errors import InvalidParams, MissingDerivative
+from .errors import InvalidParams
 from .market import ModelParams, PathBundle, mu_coeff, simulate_paths, with_epsilon
 from .noise import TimeGrid
 from .order_book import impacted_quote_path
@@ -62,19 +62,17 @@ def h_prime_zero(bundle: PathBundle, hat: BsdeSolution, trunc: TruncatedPayoff, 
     """Monte Carlo estimate of the liquidity premium per unit at x = 0.
 
     Two terms: the accumulated depth drift weighted by the squared
-    frictionless delta, minus twice the payoff slope (inside the
-    truncation band) times the delta-weighted depth turnover.  Both sums
+    frictionless delta, minus twice the truncated payoff's slope
+    `trunc.d` (zero outside the band; MissingDerivative when the payoff
+    has no derivative) times the delta-weighted depth turnover.  Both sums
     run to the stopping node, where the hedge is already zero.
     """
-    if trunc.base.derivative is None:
-        raise MissingDerivative(f"payoff {trunc.base.label} has no derivative")
     dt = bundle.grid.dt
     x_hat = hat.x[:, :-1]
     term1 = lam * np.sum(mu_coeff(bundle.u[:, :-1], bundle.params) * x_hat ** 2, axis=1) * dt
     dm = np.diff(bundle.m, axis=1)
     s_term = bundle.s[:, -1]
-    slope = trunc.base.d(s_term) * (s_term <= trunc.level)
-    term2 = 2.0 * lam * slope * np.sum(x_hat * dm, axis=1)
+    term2 = 2.0 * lam * trunc.d(s_term) * np.sum(x_hat * dm, axis=1)
     omega = term1 - term2
     n = omega.shape[0]
     return float(omega.mean()), float(omega.std(ddof=1) / np.sqrt(n))

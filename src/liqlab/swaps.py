@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateState,
-    MaturityPassed,
-    SingularConfig,
-    SingularSystem,
-)
+from .errors import DegenerateState, MaturityPassed, SingularSystem
 from .market import ModelParams, PathBundle
 
 _C_ZERO = 1e-10
@@ -129,16 +124,14 @@ def psi_matrix(
     params: ModelParams,
     t1: float,
     t2: float,
-    allow_singular: bool = False,
 ) -> PsiMatrix:
     """Build the loading matrix at one or many states.
 
-    Raises SingularConfig when alpha == gamma (the two swap rows become
-    proportional and the market is not completed) unless allow_singular
-    is set, which is how the singularity itself is inspected.
+    At alpha == gamma the two swap rows are proportional and the matrix is
+    singular.  Such rates are rejected by
+    ModelParams.validate(require_swap_hedging=True), and invert_hedge
+    raises SingularSystem on the singular swap block.
     """
-    if params.alpha == params.gamma and not allow_singular:
-        raise SingularConfig("alpha == gamma makes the swap rows proportional")
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -116,7 +116,7 @@ def test_criterion_3_swap_pricing_consistency(default_cfg):
     cfg_eq = override(default_cfg, model__alpha=cfg.get("model", "gamma"))
     params_eq = cfg_eq.model_params()
     psi_eq = psi_matrix(times[None, :], bundle.u, bundle.v, bundle.s, params_eq,
-                        grid.t1, grid.t2, allow_singular=True)
+                        grid.t1, grid.t2)
     scale = np.abs(psi_eq.entries).max(axis=(-2, -1)) ** 3
     assert (np.abs(psi_eq.det()) < 1e-12 * scale).all()
 

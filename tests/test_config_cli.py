@@ -127,6 +127,8 @@ class TestValidation:
         ("replicate", ["model.theta_kind=constant", "model.theta_level=0"]),
         ("bsde", ["model.phi_kind=constant", "model.phi_level=0"]),
         ("swaps", ["model.theta_scale=0"]),
+        ("bsde", ["model.phi_exponent=3"]),
+        ("replicate", ["model.theta_exponent=0.75"]),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)
@@ -172,7 +174,7 @@ class TestCli:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "RegressionRankDeficient"
 
-    @pytest.mark.parametrize("subcommand", ["simulate", "bsde"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "ledger"])
     def test_exploding_factor_is_a_numerical_failure(self, subcommand, tmp_path):
         # a cubic U diffusion overflows within eight steps on some paths
         out = tmp_path / "x"
@@ -183,7 +185,7 @@ class TestCli:
         assert code == 3
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "DegenerateState"
-        assert not (out / "paths.csv").exists()
+        assert not list(out.glob("*.csv"))
 
     def test_ledger_zero_liquidity_zero_cost_columns(self, tmp_path):
         out = tmp_path / "led"

@@ -6,7 +6,7 @@ from liqlab import (
     GammaMap,
     TimeGrid,
     VolCoeff,
-    lambda_coeff,
+    driver_coefficient,
     mu_coeff,
     simulate_paths,
     zeta_coeff,
@@ -15,6 +15,11 @@ from liqlab.errors import DegenerateState, InvalidParams, ZeroPaths
 from liqlab.market import export_paths_csv, with_epsilon
 
 from conftest import override, traced_peak
+
+
+def lambda_at(u, v, s, params):
+    """driver_coefficient at one state, passed as one-element arrays."""
+    return driver_coefficient(np.array([u]), np.array([v]), np.array([s]), params)[0]
 
 
 def frozen(cfg):
@@ -179,7 +184,7 @@ class TestCoefficients:
 
     def test_lambda_values(self, default_config):
         params = with_epsilon(default_config.model_params(), 0.0)
-        assert lambda_coeff(0.02, 0.02, 100.0, params) == 0.0
+        assert lambda_at(0.02, 0.02, 100.0, params) == 0.0
         # constants tuned so mu = 0.002 at u = 0.02; with sigma1 = 1, Sigma^2 = 0.04
         # and S = 100 the coefficient is 0.002 / 400 = 5e-6
         cfg = override(default_config, model__rho12=0.0, model__rho13=0.0,
@@ -187,18 +192,17 @@ class TestCoefficients:
                        model__eta=0.38)
         params2 = cfg.model_params()
         assert mu_coeff(0.02, params2) == pytest.approx(0.002)
-        assert lambda_coeff(0.02, 0.02, 100.0, params2) == pytest.approx(5e-6)
+        assert lambda_at(0.02, 0.02, 100.0, params2) == pytest.approx(5e-6)
 
     def test_lambda_scaling_in_price(self, default_params):
-        one = lambda_coeff(0.02, 0.02, 100.0, default_params)
-        two = lambda_coeff(0.02, 0.02, 200.0, default_params)
+        one = lambda_at(0.02, 0.02, 100.0, default_params)
+        two = lambda_at(0.02, 0.02, 200.0, default_params)
         assert two == pytest.approx(one / 4)
 
     def test_lambda_degenerate_state(self, default_params):
-        with pytest.raises(DegenerateState):
-            lambda_coeff(0.0, 0.0, 100.0, default_params)
-        with pytest.raises(DegenerateState):
-            lambda_coeff(0.02, 0.02, 0.0, default_params)
+        # the solver's guard: a degenerate sigma1^2 Sigma^2 S^2 gives zero
+        assert lambda_at(0.0, 0.0, 100.0, default_params) == 0.0
+        assert lambda_at(0.02, 0.02, 0.0, default_params) == 0.0
 
 
 class TestVolCoeff:

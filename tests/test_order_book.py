@@ -11,7 +11,6 @@ from liqlab import (
     unaffected_price,
 )
 from liqlab.errors import DegenerateState, GridMismatch
-from liqlab.order_book import export_quotes_csv
 
 from conftest import override
 
@@ -131,16 +130,3 @@ class TestImpactedQuotePath:
         quotes = impacted_quote_path(bundle, x, lam=1.0)
         # zero depth: trades leave no mark
         npt.assert_array_equal(quotes.s0_post, bundle.s)
-
-
-def test_quotes_csv_export(tmp_path, small_bundle):
-    x = np.zeros(small_bundle.n_nodes)
-    x[3:9] = 2.0
-    quotes = impacted_quote_path(small_bundle, x, lam=0.5)
-    out = tmp_path / "quotes.csv"
-    export_quotes_csv(small_bundle, quotes, x, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,step,t,S,S0_pre,S0_post,X"
-    assert len(lines) == 1 + small_bundle.n_paths * small_bundle.n_nodes
-    cells = lines[1].split(",")
-    assert float(cells[3]) == small_bundle.s[0, 0]

@@ -154,8 +154,7 @@ class TestHPrimeZero:
     def test_missing_derivative(self, default_config):
         cfg = override(default_config, grid__n_steps=32)
         bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 2000, seed=10)
-        bare = Payoff(fn=lambda y: np.clip(y - 100.0, 0.0, 50.0), lipschitz=1.0,
-                      label="bare", derivative=None, bounded=True)
+        bare = Payoff(fn=lambda y: np.clip(y - 100.0, 0.0, 50.0), label="bare")
         config = cfg.bsde_config()
         trunc = truncate_payoff(bare, config.n_trunc)
         hat = hat_solution(lin_bundle(cfg, 2000, 10), trunc, config)

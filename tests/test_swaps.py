@@ -17,12 +17,7 @@ from liqlab import (
     tilde_u,
     tilde_v,
 )
-from liqlab.errors import (
-    DegenerateState,
-    MaturityPassed,
-    SingularConfig,
-    SingularSystem,
-)
+from liqlab.errors import DegenerateState, MaturityPassed, SingularSystem
 from liqlab.market import zeta_coeff
 
 from conftest import override
@@ -129,10 +124,7 @@ class TestPsiMatrix:
         cfg = override(default_config, model__alpha=0.5)  # alpha == gamma
         params = cfg.model_params()
         grid = cfg.time_grid()
-        with pytest.raises(SingularConfig):
-            psi_matrix(0.2, 0.04, 0.05, 90.0, params, grid.t1, grid.t2)
-        psi = psi_matrix(0.2, 0.04, 0.05, 90.0, params, grid.t1, grid.t2,
-                         allow_singular=True)
+        psi = psi_matrix(0.2, 0.04, 0.05, 90.0, params, grid.t1, grid.t2)
         # proportional maturity columns: determinant exactly collapses
         scale = np.abs(psi.entries).max() ** 3
         assert abs(psi.det()) < 1e-12 * scale
@@ -256,13 +248,16 @@ class TestHedgeChecks:
     _STOCK = "sigma1 * Sigma * S too small to recover the stock position"
     MESSAGES = {"zero price scale": _STOCK, "both": _STOCK,
                 "degenerate psi": "loading matrix degenerate at some state",
-                "singular block": "swap loading block numerically singular"}
+                "singular block": "swap loading block numerically singular",
+                "equal rates": "swap loading block numerically singular"}
 
     @staticmethod
     def _case(default_config, default_grid, kind):
         cfg = default_config
         if kind in ("degenerate psi", "both"):
             cfg = override(cfg, model__theta_kind="constant", model__theta_level=0.0)
+        if kind == "equal rates":
+            cfg = override(cfg, model__alpha=cfg.get("model", "gamma"))
         params = cfg.model_params()
         psi = psi_matrix(0.1, 0.02, 0.05, 120.0, params, default_grid.t1, default_grid.t2)
         if kind == "singular block":   # second swap row zero: the 2x2 block has det 0
@@ -277,6 +272,7 @@ class TestHedgeChecks:
         ("degenerate psi", SingularSystem),
         ("singular block", SingularSystem),
         ("both", DegenerateState),
+        ("equal rates", SingularSystem),
     ])
     def test_checks_raise_as_invert_hedge(self, default_config, default_grid, kind, error):
         psi, sigma_s, params = self._case(default_config, default_grid, kind)
