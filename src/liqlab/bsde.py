@@ -1,7 +1,8 @@
 """Backward regression solver for the quadratic-driver value equation.
 
 The replication value Y and its diffusion exposures Z solve, up to the
-stopping time tau (first exit of price/volatility from [1/L, L]),
+stopping time tau (the first node where S <= 1/L or where Sigma leaves
+(1/L, L); S has no upper stop),
 
     Y_t = terminal + lambda * int_t^tau Lambda_u Z_{1,u}^2 du - int Z dB.
 
@@ -18,8 +19,10 @@ node 0 is flagged degenerate.
 
 The design, Gram matrix, alive set and driver term lambda Lambda of a
 step, formed from that step's states, serve every target regressed at
-that step; lambda is the terminal condition's.  `solve_quadratic_bsde`
-runs the pass for one terminal and keeps the full Y and Z.
+that step; lambda is the terminal condition's.  Each step gathers its
+alive paths' states and Brownian increments once, into contiguous
+arrays.  `solve_quadratic_bsde` runs the pass for one terminal and keeps
+the full Y and Z.
 `solve_and_hedge` runs it once for several terminals of one lambda on
 one bundle (the unit counts of a replication run), fitting only the
 value and Z_1: each column keeps its own Picard stop, divergence
@@ -153,20 +156,34 @@ def _n_features(degree: int) -> int:
 
 
 def _design(s, u, v, degree: int) -> np.ndarray:
-    cols = [np.ones_like(s)]
+    """Standardized monomials of (s, u, v) up to `degree`, intercept first.
+
+    Each monomial is s^i u^j v^k with its unit factors left out, written
+    into one (n, p) array that is centered and scaled in place; columns
+    with no spread are zero.
+    """
+    n = s.shape[0]
+    powers = [[None, x] + [x ** e for e in range(2, degree + 1)] for x in (s, u, v)]
+    raw = np.empty((n, _n_features(degree)))
+    raw[:, 0] = 1.0
+    col = 1
     for total in range(1, degree + 1):
         for i in range(total + 1):
             for j in range(total - i + 1):
-                k = total - i - j
-                cols.append(s ** i * u ** j * v ** k)
-    raw = np.column_stack(cols)
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
+                first, *rest = [p[e] for p, e in zip(powers, (i, j, total - i - j)) if e]
+                out = raw[:, col]
+                out[:] = first
+                for f in rest:
+                    out *= f
+                col += 1
+    mean = raw.sum(axis=0) / n
+    raw -= mean
+    std = np.sqrt((raw * raw).sum(axis=0) / n)
     keep = std > 1e-12 * (np.abs(mean) + 1.0)
-    out = np.zeros_like(raw)
-    out[:, 0] = 1.0
-    out[:, 1:] = np.where(keep[1:], (raw[:, 1:] - mean[1:]) / np.where(keep[1:], std[1:], 1.0), 0.0)
-    return out
+    raw /= np.where(keep, std, 1.0)
+    raw[:, ~keep] = 0.0
+    raw[:, 0] = 1.0
+    return raw
 
 
 class _RidgeSolver:
@@ -229,7 +246,7 @@ class _Step(NamedTuple):
     k: int
     alive: slice | np.ndarray   # index of `_alive_paths`
     solver: _RidgeSolver
-    db: np.ndarray              # Brownian increments on the alive paths
+    db: np.ndarray              # (3, n_alive) Brownian increments on the alive paths
     drift: np.ndarray | None    # lam * Lambda on the alive paths; None when the driver is off
 
 
@@ -262,7 +279,8 @@ class _BackwardPass:
                     f"step {k}: {n_alive} alive paths < required {min_alive}",
                     diagnostics={"step": k, "alive": n_alive, "required": min_alive},
                 )
-            s_k, u_k, v_k = bundle.s[alive, k], bundle.u[alive, k], bundle.v[alive, k]
+            s_k, u_k, v_k = (np.ascontiguousarray(a[alive, k])
+                             for a in (bundle.s, bundle.u, bundle.v))
             solver = _RidgeSolver(_design(s_k, u_k, v_k, config.degree), config.ridge)
             self.cond_numbers[k] = solver.cond
             drift = None
@@ -271,7 +289,8 @@ class _BackwardPass:
                 if np.any(lam_vals != 0.0):
                     self.lambda_bound = max(self.lambda_bound, float(lam_vals.max()))
                     drift = lam * lam_vals
-            yield _Step(k, alive, solver, bundle.noise.db[alive, k, :], drift)
+            db = np.ascontiguousarray(bundle.noise.db[alive, k, :].T)
+            yield _Step(k, alive, solver, db, drift)
 
     def solution(self, terminal: TerminalCondition, y_node0: np.ndarray, xi: np.ndarray,
                  picard_deltas: list, max_abs_y: float, **paths) -> BsdeSolution:
@@ -299,7 +318,7 @@ def _fit_step(step: _Step, target: np.ndarray, xi: np.ndarray, deltas: list,
     Value, Z1, then the Picard loop on (Y, Z1) when the driver is active
     (its deltas appended to `deltas`, its driver term added to xi).
     """
-    solver, db1, drift = step.solver, step.db[:, 0], step.drift
+    solver, db1, drift = step.solver, step.db[0], step.drift
     y_new = solver.fit(target)
     z1 = solver.fit((target - y_new) * db1 / dt)
     if drift is not None:
@@ -354,7 +373,7 @@ def solve_quadratic_bsde(bundle: PathBundle, terminal: TerminalCondition,
         y_k, z1 = _fit_step(step, target, xi, picard_deltas[k], config, dt)
         y[alive, k], z[alive, k, 0] = y_k, z1
         for j in (1, 2):    # Z2 and Z3 once from the final value
-            z[alive, k, j] = step.solver.fit((target - y_k) * step.db[:, j] / dt)
+            z[alive, k, j] = step.solver.fit((target - y_k) * step.db[j] / dt)
     return backward.solution(terminal, y[:, 0], xi, picard_deltas, float(np.abs(y).max()),
                              y=y, z=z)
 

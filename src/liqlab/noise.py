@@ -56,9 +56,8 @@ _SEED_BLOCK = 65_536
 
 @dataclass(frozen=True)
 class CorrelationDecomposition:
-    """L (R^-1 = L^T L) and Linv = L^-1 (R = Linv Linv^T) of a correlation R."""
+    """Linv = L^-1 (R = Linv Linv^T, R^-1 = L^T L) of a correlation R."""
 
-    tri: np.ndarray      # L, upper triangular
     tri_inv: np.ndarray  # L^-1, upper triangular
 
     @property
@@ -150,7 +149,7 @@ class NoiseBlock:
 
 
 def decompose_correlation(corr: np.ndarray) -> CorrelationDecomposition:
-    """Factor a 3x3 correlation matrix into the triangular pair (L, L^-1).
+    """Factor a 3x3 correlation matrix as R = L^-1 L^-T with L^-1 upper triangular.
 
     Raises NotSymmetric / NotPositiveDefinite / InvalidParams when the
     input is not a valid correlation matrix.
@@ -172,8 +171,7 @@ def decompose_correlation(corr: np.ndarray) -> CorrelationDecomposition:
             f"Cholesky pivot below tolerance {_PIVOT_TOL:g}"
         )
     tri_inv = _EXCH @ lower @ _EXCH          # upper triangular, R = tri_inv tri_inv^T
-    tri = np.linalg.inv(tri_inv)             # upper triangular, R^-1 = tri^T tri
-    return CorrelationDecomposition(tri=tri, tri_inv=tri_inv)
+    return CorrelationDecomposition(tri_inv=tri_inv)
 
 
 def draw_noise(

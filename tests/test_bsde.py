@@ -141,6 +141,67 @@ def bsde_setup(default_config):
     return cfg, params, bundle, config, trunc
 
 
+def _design_reference(s, u, v, degree: int) -> np.ndarray:
+    # the column_stack formula the preallocated `_design` must reproduce bitwise
+    cols = [np.ones_like(s)]
+    for total in range(1, degree + 1):
+        for i in range(total + 1):
+            for j in range(total - i + 1):
+                k = total - i - j
+                cols.append(s ** i * u ** j * v ** k)
+    raw = np.column_stack(cols)
+    mean = raw.mean(axis=0)
+    std = raw.std(axis=0)
+    keep = std > 1e-12 * (np.abs(mean) + 1.0)
+    out = np.zeros_like(raw)
+    out[:, 0] = 1.0
+    out[:, 1:] = np.where(keep[1:], (raw[:, 1:] - mean[1:]) / np.where(keep[1:], std[1:], 1.0), 0.0)
+    return out
+
+
+class TestDesign:
+    """The preallocated, once-centered design is the column_stack formula, bit for bit."""
+
+    @staticmethod
+    def _states(n, seed):
+        # path-major (n, 65) arrays like a bundle's, with a price-like, a
+        # variance-like and a signed state
+        rng = np.random.default_rng(seed)
+        s = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal((n, 65)), axis=1))
+        u = 0.04 * np.exp(np.cumsum(0.1 * rng.standard_normal((n, 65)), axis=1))
+        v = np.cumsum(0.01 * rng.standard_normal((n, 65)), axis=1)
+        return s, u, v
+
+    @pytest.mark.parametrize("n", [11, 2000])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gather", ["strided", "mask", "contiguous"])
+    def test_bitwise_reference(self, n, degree, gather):
+        states = self._states(n, seed=n + degree)
+        mask = np.arange(n) % 3 != 1
+        for k in (1, 33, 64):
+            if gather == "strided":
+                s, u, v = (a[:, k] for a in states)
+            elif gather == "mask":
+                s, u, v = (a[mask, k] for a in states)
+            else:
+                s, u, v = (np.ascontiguousarray(a[:, k]) for a in states)
+            got = bsde._design(s, u, v, degree)
+            assert got.shape == (s.shape[0], bsde._n_features(degree))
+            assert got.flags.c_contiguous
+            want = _design_reference(s, u, v, degree)
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_constant_states_keep_only_the_intercept(self, degree):
+        states = [np.full((50, 65), c) for c in (100.0, 0.04, 0.02)]
+        s, u, v = (a[:, 0] for a in states)
+        got = bsde._design(s, u, v, degree)
+        want = _design_reference(s, u, v, degree)
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        npt.assert_array_equal(got[:, 0], 1.0)
+        npt.assert_array_equal(got[:, 1:].view(np.uint64), 0)
+
+
 class TestSolve:
     def test_constant_terminal_exact(self, bsde_setup):
         _, _, bundle, config, trunc = bsde_setup

@@ -12,7 +12,7 @@ from conftest import corr, traced_peak
 class TestDecomposeCorrelation:
     def test_identity_matrix(self):
         d = decompose_correlation(np.eye(3))
-        npt.assert_allclose(d.tri, np.eye(3))
+        npt.assert_array_equal(d.tri_inv, np.eye(3))
         assert d.sigma1 == d.phi2 == d.theta3 == 1.0
         assert d.sigma2 == d.sigma3 == d.phi3 == 0.0
 
@@ -20,7 +20,8 @@ class TestDecomposeCorrelation:
         r = corr(rho12=0.5)
         d = decompose_correlation(r)
         npt.assert_allclose(d.tri_inv @ d.tri_inv.T, r, atol=1e-10)
-        npt.assert_allclose(d.tri.T @ d.tri, np.linalg.inv(r), atol=1e-10)
+        tri = np.linalg.inv(d.tri_inv)
+        npt.assert_allclose(tri.T @ tri, np.linalg.inv(r), atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_correlation_roundtrip(self, seed):
@@ -33,8 +34,8 @@ class TestDecomposeCorrelation:
         np.fill_diagonal(r, 1.0)
         d = decompose_correlation(r)
         npt.assert_allclose(d.tri_inv @ d.tri_inv.T, r, atol=1e-10)
-        assert np.allclose(np.tril(d.tri, -1), 0.0)
-        assert np.allclose(np.tril(d.tri_inv, -1), 0.0)
+        assert np.allclose(np.tril(np.linalg.inv(d.tri_inv), -1), 0.0)
+        assert (np.tril(d.tri_inv, -1) == 0.0).all()
         assert d.sigma1 > 0
 
     def test_singular_matrix_rejected(self):
