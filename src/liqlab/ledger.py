@@ -12,14 +12,21 @@ corresponding instrument.  The cash account can be computed two ways:
 The two agree path by path, node by node, up to float accumulation; the
 discrepancy is reported so the identity stays an executable check.
 
-cash_decomposed builds both forms in one pass.  The trades dX, the
-depth-weighted trades M dX and their running sum (the quote displacement)
-are computed once and serve the quotes, the trade-by-trade cash and the
-liquidation value; each attribution term is one running sum written into
-its report array, and the sums keep the order y0 + gains + impact term +
-quadratic cost (+ swap terms) - liquidation value.  A 1-d position profile
-is differenced as 1-d and broadcast afterwards.  cash_direct and
-order_book.impacted_quote_path go through the same helpers, so each
+cash_decomposed builds both forms on the blocks of paths that
+order_book.path_blocks gives.  Each block's S, M and positions are copied
+time-major into preallocated (n_nodes, rows) scratch, where every
+difference, product and running sum runs along contiguous rows that fit
+in cache; the results are written back into the path-major (n_paths,
+n_nodes) report arrays.  Within
+a block the trades dX, the depth-weighted trades M dX and their running
+sum (the quote displacement) are computed once and serve the quotes, the
+trade-by-trade cash and the liquidation value; each attribution term is
+one running sum, and the sums keep the order y0 + gains + impact term +
+quadratic cost (+ swap terms) - liquidation value.  A running sum adds row
+k - 1 into row k, the additions of np.cumsum along time in its order, so
+every report bit is the same at any block size.  A 1-d position profile
+is differenced as one (n_nodes, 1) column and broadcast.  cash_direct and
+order_book.impacted_quote_path go through the same block helpers, so each
 formula exists once.
 
 arbitrage_harness takes each strategy's terminal gain from the last report
@@ -30,6 +37,7 @@ before it builds the next, so one report is alive at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +46,17 @@ from .market import ModelParams, PathBundle, simulate_paths
 from .noise import TimeGrid
 from .order_book import (
     ImpactedQuotePath,
+    block_scratch,
     check_impact_fraction,
+    like,
     positions,
     positions_2d,
     pre_trade_quote,
     quote_shift,
+    running_integral,
+    running_sum,
+    time_major,
+    trade_cost,
     trade_flow,
 )
 from .table import grid_index, write_table
@@ -102,7 +116,9 @@ class SwapLiquidity:
 class LedgerReport:
     """Per-path cash in both forms together with the decomposed attribution.
 
-    All arrays are (n_paths, n_nodes); term columns are cumulative.
+    All arrays are (n_paths, n_nodes); term columns are cumulative.  For a
+    strategy without swaps, swap_gains and swap_quad are read-only
+    broadcast views of 0.0 that hold no memory.
     """
 
     y_direct: np.ndarray
@@ -126,47 +142,65 @@ class LedgerReport:
 
 
 def liquidation_value(x, quote_post, m, lam, out=None):
-    """Cash from closing x shares by a continuous finite-variation unwind.
+    """Cash x (quote_post - lambda M x) from closing x shares by a continuous
+    finite-variation unwind.
 
-    With out given (it may be quote_post itself) the value is written there.
+    With out given the value is built there, without a temporary; out must
+    not share memory with x or quote_post.
     """
-    value = np.subtract(quote_post, lam * m * x, out=out)
+    value = np.multiply(lam, m, out=out)
+    value = np.multiply(value, x, out=out)
+    value = np.subtract(quote_post, value, out=out)
     return np.multiply(x, value, out=out)
 
 
-def _swap_legs(strategy, bundle, swaps, swap_prices) -> list:
-    """Per leg (positions, trades, prices, slope, impact fraction, quote
-    displacement), empty when unused."""
+class _Leg(NamedTuple):
+    pos: np.ndarray         # a 1-d profile or (n_paths, n_nodes)
+    prices: np.ndarray      # (n_paths, n_nodes)
+    m_slope: float
+    lam: float
+
+
+def _swap_legs(strategy, bundle, swaps, swap_prices) -> list[_Leg]:
+    """Both legs of a swap strategy, empty when it trades none.
+
+    A position given as a 1-d profile stays one; an unused leg is a flat
+    profile.
+    """
     if not strategy.has_swaps():
         return []
     if swaps is None or swap_prices is None:
         raise InvalidParams("strategy trades swaps but no swap liquidity/prices given")
+    n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
     legs = []
-    for leg, (m_slope, lam) in enumerate([(swaps.m1, swaps.l1), (swaps.m2, swaps.l2)], start=1):
-        prices = np.asarray(swap_prices[leg - 1], dtype=float)
-        if prices.shape != (bundle.n_paths, bundle.n_nodes):
+    for pos, prices, m_slope, lam in ((strategy.chi1, swap_prices[0], swaps.m1, swaps.l1),
+                                      (strategy.chi2, swap_prices[1], swaps.m2, swaps.l2)):
+        prices = np.asarray(prices, dtype=float)
+        if prices.shape != (n_paths, n_nodes):
             raise GridMismatch("swap price paths do not match the bundle grid")
-        pos = strategy.swap(leg, bundle.n_paths, bundle.n_nodes)
-        dpos = np.diff(pos, axis=1, prepend=0.0)
-        legs.append((pos, dpos, prices, m_slope, lam, quote_shift(dpos, lam, m_slope)))
+        pos = np.zeros(n_nodes) if pos is None else positions(pos, n_paths, n_nodes)
+        legs.append(_Leg(pos, prices, m_slope, lam))
     return legs
 
 
-def _trade_cost(pre, d, m_d) -> np.ndarray:
-    """Outlay d * (pre + M d) of trades d at pre-trade quotes pre, written over pre."""
-    pre += m_d
-    pre *= d
-    return pre
+def _leg_flow(leg: _Leg, block: slice, bufs):
+    """A leg's time-major positions, trades, prices and quote displacement on one block."""
+    pos_buf, dpos_buf, prices_buf, shift_buf = bufs
+    pos = time_major(leg.pos, block, pos_buf)
+    dpos = trade_flow(pos, dpos_buf)
+    prices = time_major(leg.prices, block, prices_buf)
+    return pos, dpos, prices, quote_shift(dpos, leg.lam, leg.m_slope, shift_buf)
 
 
-def _cash(y0: float, cost: np.ndarray, legs) -> np.ndarray:
-    """y0 minus the running sum of the stock outlay cost and every swap leg's outlay.
+def _leg_cost(leg: _Leg, dpos, prices, shift, out, tmp) -> np.ndarray:
+    """Outlay of a leg's trades on its constant-slope curve, written into out."""
+    m_dpos = np.multiply(leg.m_slope, dpos, out=like(tmp, dpos))
+    return trade_cost(pre_trade_quote(prices, shift, out=out), dpos, m_dpos)
 
-    The cash path is written over cost.
-    """
-    for _, dpos, prices, m_slope, _, shift in legs:
-        cost += _trade_cost(pre_trade_quote(prices, shift), dpos, m_slope * dpos)
-    np.cumsum(cost, axis=1, out=cost)
+
+def _cash(y0: float, cost: np.ndarray) -> np.ndarray:
+    """y0 minus the running sum of the outlays cost, written over cost."""
+    running_sum(cost)
     return np.subtract(y0, cost, out=cost)
 
 
@@ -183,23 +217,23 @@ def cash_direct(
     trades are priced the same way on their own impacted constant-slope
     curves.
     """
-    x = positions(strategy.x, bundle.n_paths, bundle.n_nodes)
-    if quotes.s0_pre.shape != (bundle.n_paths, bundle.n_nodes):
+    n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
+    x = positions(strategy.x, n_paths, n_nodes)
+    if quotes.s0_pre.shape != (n_paths, n_nodes):
         raise GridMismatch("quotes do not match the strategy grid")
-    dx, m_dx = trade_flow(bundle.m, x)
-    cost = _trade_cost(quotes.s0_pre.copy(), dx, m_dx)
-    return _cash(strategy.y0, cost, _swap_legs(strategy, bundle, swaps, swap_prices))
-
-
-def _running_integral(weight, path) -> np.ndarray:
-    """Left-point sums of weight * d(path) over the steps, 0 at node 0."""
-    out = np.empty(path.shape)
-    out[:, 0] = 0.0
-    steps = out[:, 1:]
-    np.subtract(path[:, 1:], path[:, :-1], out=steps)
-    steps *= weight
-    np.cumsum(steps, axis=1, out=steps)
-    return out
+    legs = _swap_legs(strategy, bundle, swaps, swap_prices)
+    y = np.empty((n_paths, n_nodes))
+    scratch = block_scratch(n_paths, n_nodes, 4 + 6 * bool(legs))
+    for block, (cost_buf, m_buf, x_buf, dx_buf, *leg_bufs) in scratch:
+        dx = trade_flow(time_major(x, block, x_buf), dx_buf)
+        m_dx = np.multiply(time_major(bundle.m, block, m_buf), dx, out=m_buf)
+        cost = trade_cost(time_major(quotes.s0_pre, block, cost_buf), dx, m_dx)
+        for leg in legs:
+            leg_buf, tmp_buf, *flow_bufs = leg_bufs
+            _, dpos, prices, shift = _leg_flow(leg, block, flow_bufs)
+            cost += _leg_cost(leg, dpos, prices, shift, leg_buf, tmp_buf)
+        y[block] = _cash(strategy.y0, cost).T
+    return y
 
 
 def cash_decomposed(
@@ -213,52 +247,79 @@ def cash_decomposed(
 
     Also builds the cash_direct path from the same trades, depth-weighted
     trades and quote displacement, and reports the maximum relative
-    discrepancy between the two forms.  Each term is one pass written into
-    the report's own array.
+    discrepancy between the two forms.  Each block of paths is worked
+    time-major in preallocated scratch and written into the report arrays.
     """
     if lam is None:
         lam = bundle.params.lambda_impact
     check_impact_fraction(lam)
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    s, m = bundle.s, bundle.m
+    shape = (n_paths, n_nodes)
     x = positions(strategy.x, n_paths, n_nodes)
     legs = _swap_legs(strategy, bundle, swaps, swap_prices)
-    dx, m_dx = trade_flow(m, x)
-    x_prev = x[..., :-1]
-
-    gains = _running_integral(x_prev, s)
-    impact_term = _running_integral(x_prev ** 2, m)
-    impact_term[:, 1:] *= -lam
-
-    quad_cost = m * dx ** 2
-    np.cumsum(quad_cost, axis=1, out=quad_cost)
-    quad_cost *= -(1.0 - lam)
-
-    shift = quote_shift(m_dx, lam)
-    y_dir = _cash(strategy.y0, _trade_cost(pre_trade_quote(s, shift), dx, m_dx), legs)
-    liq = liquidation_value(x, np.add(s, shift, out=shift), m, lam, out=shift)
-
-    swap_gains = np.zeros((n_paths, n_nodes))
-    swap_quad = np.zeros((n_paths, n_nodes))
-    for pos, dpos, prices, m_slope, leg_lam, leg_shift in legs:
-        swap_gains += _running_integral(pos[:, :-1], prices)
-        swap_quad += -(1.0 - leg_lam) * m_slope * np.cumsum(dpos ** 2, axis=1)
-        liq += liquidation_value(pos, prices + leg_shift, m_slope, leg_lam)
-
-    # y0 + 0.0 turns a -0.0 into +0.0, which is all that adding the +0.0
-    # swap columns of a stock-only strategy would change.
-    y_dec = np.add(strategy.y0 + 0.0, gains)
-    y_dec += impact_term
-    y_dec += quad_cost
+    y_dir, y_dec, gains, impact_term, quad_cost, liq = (np.empty(shape) for _ in range(6))
     if legs:
-        y_dec += swap_gains
-        y_dec += swap_quad
-    y_dec -= liq
+        swap_gains, swap_quad = np.empty(shape), np.empty(shape)
+    else:
+        swap_gains = swap_quad = np.broadcast_to(0.0, shape)
+    scratch = block_scratch(n_paths, n_nodes, 9 + 7 * bool(legs))
+    peaks = []      # per block: max |y_dir| and max |y_dir - y_dec|
+    for block, (s_buf, m_buf, x_buf, dx_buf, cost_buf, liq_buf, dec_buf, term_buf, tmp_buf,
+                *leg_bufs) in scratch:
+        s = time_major(bundle.s, block, s_buf)
+        m = time_major(bundle.m, block, m_buf)
+        xb = time_major(x, block, x_buf)
+        dx = trade_flow(xb, dx_buf)
+        m_dx = np.multiply(m, dx, out=tmp_buf)
+        shift = quote_shift(m_dx, lam, 1.0, out=term_buf)
+        cost = trade_cost(pre_trade_quote(s, shift, out=cost_buf), dx, m_dx)
+        liquidation = liquidation_value(xb, np.add(s, shift, out=term_buf), m, lam, out=liq_buf)
 
-    scratch = m_dx
-    scale = max(1.0, float(np.abs(y_dir, out=scratch).max()))
-    np.abs(np.subtract(y_dir, y_dec, out=scratch), out=scratch)
-    disc = float(scratch.max() / scale)
+        # Each term is built in term_buf, written out and added in the order
+        # of the sum.  y0 + 0.0 turns a -0.0 into +0.0, which is all that
+        # adding the +0.0 swap columns of a stock-only strategy would change.
+        term = running_integral(xb[:-1], s, out=term_buf)
+        gains[block] = term.T
+        decomposed = np.add(strategy.y0 + 0.0, term, out=dec_buf)
+        term = running_integral(np.square(xb[:-1], out=like(tmp_buf[:-1], xb)), m, out=term_buf)
+        term[1:] *= -lam
+        impact_term[block] = term.T
+        decomposed += term
+        term = np.multiply(m, np.square(dx, out=like(tmp_buf, dx)), out=term_buf)
+        running_sum(term)
+        term *= -(1.0 - lam)
+        quad_cost[block] = term.T
+        decomposed += term
+        if legs:
+            leg_gains, leg_quad, leg_buf, *flow_bufs = leg_bufs
+            leg_gains.fill(0.0)
+            leg_quad.fill(0.0)
+            for leg in legs:
+                pos, dpos, prices, leg_shift = _leg_flow(leg, block, flow_bufs)
+                leg_gains += running_integral(pos[:-1], prices, out=term_buf)
+                dpos_sq = running_sum(np.square(dpos, out=like(tmp_buf, dpos)))
+                leg_quad += np.multiply(-(1.0 - leg.lam) * leg.m_slope, dpos_sq, out=dpos_sq)
+                cost += _leg_cost(leg, dpos, prices, leg_shift, leg_buf, tmp_buf)
+                liquidation += liquidation_value(pos, np.add(prices, leg_shift, out=leg_buf),
+                                                 leg.m_slope, leg.lam, out=tmp_buf)
+            swap_gains[block] = leg_gains.T
+            swap_quad[block] = leg_quad.T
+            decomposed += leg_gains
+            decomposed += leg_quad
+        decomposed -= liquidation
+        liq[block] = liquidation.T
+        y_dec[block] = decomposed.T
+
+        direct = _cash(strategy.y0, cost)
+        y_dir[block] = direct.T
+        peaks.append((np.abs(direct, out=term_buf).max(),
+                      np.abs(np.subtract(direct, decomposed, out=term_buf), out=term_buf).max()))
+
+    # numpy's max propagates a NaN from any block; Python's max(0.0, nan)
+    # would return 0.0
+    top_direct, top_gap = np.max(peaks, axis=0)
+    scale = max(1.0, float(top_direct))
+    disc = float(top_gap / scale)
     return LedgerReport(
         y_direct=y_dir, y_decomposed=y_dec, gains=gains, impact_term=impact_term,
         quad_cost=quad_cost, swap_gains=swap_gains, swap_quad=swap_quad,

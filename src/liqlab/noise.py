@@ -50,8 +50,10 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
-# paths hashed per block: bounds the Python-int state lists at any n_paths
+# paths hashed per block: bounds the hash arrays at any n_paths
 _SEED_BLOCK = 65_536
+# paths whose state words are Python ints at once
+_INT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def _pcg_seeds(seed: int, n_paths: int):
     initseq; PCG64 then sets inc = 2 initseq + 1 and state = (inc +
     initstate) MULT + inc mod 2^128.  The hash is uint32 arithmetic on
     whole blocks of paths; only the last step is done per path, on Python
-    ints.
+    ints made a few hundred paths at a time.
     """
     seed_words = [seed & _M32]
     while seed := seed >> 32:
@@ -240,11 +242,15 @@ def _pcg_seeds(seed: int, n_paths: int):
                     pool[dst] = _mix(pool[dst], hashmix(word))
             expand = _hashmix(_INIT_B, _MULT_B)
             words = [expand(pool[j % _POOL_SIZE]).astype(np.uint64) for j in range(8)]
+        del pool, entropy
         # generate_state(4, uint64) pairs the words little-endian
-        halves = ((words[j] | words[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2))
-        for s_hi, s_lo, q_hi, q_lo in zip(*halves):
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-            yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
+        halves = [words[j] | words[j + 1] << np.uint64(32) for j in range(0, 8, 2)]
+        del words
+        for chunk in range(0, len(paths), _INT_CHUNK):
+            ints = [half[chunk:chunk + _INT_CHUNK].tolist() for half in halves]
+            for s_hi, s_lo, q_hi, q_lo in zip(*ints):
+                inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+                yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
 
 
 def _hashmix(hash_const: int, mult: int):

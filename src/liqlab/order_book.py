@@ -6,6 +6,13 @@ displacement persists: each trade dX shifts the quote by 2 lambda M dX
 while the book density 1 / (2 M) is unchanged.  The pre-trade quote at a
 node excludes the impact of the trade placed at that node; the post-trade
 quote includes it.
+
+Along a path the quote and the cash are running sums over time, which run
+fastest time-major.  So the path arrays are worked in blocks of paths
+(path_blocks): each block is copied transposed into preallocated
+(n_nodes, rows) scratch (block_scratch, time_major), the helpers below act
+down its rows, and the results are written back path-major.  The ledger
+shares these helpers.
 """
 
 from __future__ import annotations
@@ -76,31 +83,97 @@ def check_impact_fraction(lam) -> None:
         raise InvalidParams(f"impact fraction lambda must lie in [0,1], got {lam!r}")
 
 
-def trade_flow(m, x):
-    """Trades dX (the node-0 trade jumps from flat) and depth-weighted trades M dX.
+def path_blocks(n_paths: int) -> list[slice]:
+    """The paths in blocks of n_paths // 16 rows, at least 64 and at most 1,024.
 
-    A 1-d profile is differenced as 1-d; M dX has the shape of M.
+    At 64 steps a (65, 1024) float block is 0.5 MB, so a ledger's block
+    buffers stay in cache where one whole (50000, 65) array is 26 MB.  At
+    n_paths // 16 rows the nine buffers of a stock-only ledger hold about
+    half a path array; the floor of 64 rows bounds the Python cost per path
+    at small n_paths.
     """
-    dx = np.diff(x, axis=-1, prepend=0.0)
-    return dx, m * dx
+    rows = min(1024, max(64, n_paths // 16))
+    return [slice(p, min(p + rows, n_paths)) for p in range(0, n_paths, rows)]
 
 
-def quote_shift(trades, lam: float, slope: float = 1.0) -> np.ndarray:
-    """Cumulative quote displacement after the node-k trade.
+def block_scratch(n_paths: int, n_nodes: int, count: int):
+    """Yield each of path_blocks(n_paths) with count time-major (n_nodes, rows)
+    scratch arrays: contiguous views of buffers allocated once."""
+    blocks = path_blocks(n_paths)
+    flat = np.empty((count, n_nodes * (blocks[0].stop - blocks[0].start)))
+    for block in blocks:
+        size = n_nodes * (block.stop - block.start)
+        yield block, [buf[:size].reshape(n_nodes, -1) for buf in flat]
 
-    2 lambda * sum_{i<=k} M_i dX_i from depth-weighted stock trades, or
-    2 lambda M * sum_{i<=k} dchi_i for a curve of constant slope M.
+
+def time_major(a, block: slice, out: np.ndarray) -> np.ndarray:
+    """a[block] transposed into out; a 1-d profile as its (n_nodes, 1) column."""
+    if a.ndim == 1:
+        return a[:, None]
+    np.copyto(out, a[block].T)
+    return out
+
+
+def like(buf: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The leading columns of buf, as many as a has: one for a profile's column."""
+    return buf[:, :a.shape[1]]
+
+
+def running_sum(a: np.ndarray) -> np.ndarray:
+    """Running sum down the rows of a, in place: row by row, the additions
+    of np.cumsum along time, in the same order."""
+    prev = a[0]
+    for row in a[1:]:
+        np.add(row, prev, out=row)
+        prev = row
+    return a
+
+
+def trade_flow(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Trades dX down the rows of x, written into like(out, x); the node-0
+    trade jumps from flat."""
+    out = like(out, x)
+    np.subtract(x[:1], 0.0, out=out[:1])
+    np.subtract(x[1:], x[:-1], out=out[1:])
+    return out
+
+
+def quote_shift(trades, lam: float, slope: float, out: np.ndarray) -> np.ndarray:
+    """Quote displacement after each node's trade, down the rows of trades.
+
+    2 lambda * sum_{i<=k} M_i dX_i from depth-weighted stock trades (slope
+    1), or 2 lambda M * sum_{i<=k} dchi_i for a curve of constant slope M.
+    Written into like(out, trades), which may be trades itself.
     """
-    shift = np.cumsum(trades, axis=1)
-    shift *= 2.0 * lam * slope
-    return shift
+    out = like(out, trades)
+    np.copyto(out, trades)
+    running_sum(out)
+    out *= 2.0 * lam * slope
+    return out
 
 
-def pre_trade_quote(s, shift) -> np.ndarray:
+def pre_trade_quote(s, shift, out: np.ndarray) -> np.ndarray:
     """Quote seen by the node-k trade: s plus the displacement through node k - 1."""
-    pre = s.copy()
-    pre[:, 1:] += shift[:, :-1]
+    np.copyto(out[:1], s[:1])
+    np.add(s[1:], shift[:-1], out=out[1:])
+    return out
+
+
+def trade_cost(pre, d, m_d) -> np.ndarray:
+    """Outlay d * (pre + M d) of trades d at pre-trade quotes pre, written over pre."""
+    pre += m_d
+    pre *= d
     return pre
+
+
+def running_integral(weight, path, out: np.ndarray) -> np.ndarray:
+    """Left-point sums of weight * d(path) down the rows, 0 at node 0."""
+    out[0] = 0.0
+    steps = out[1:]
+    np.subtract(path[1:], path[:-1], out=steps)
+    steps *= weight
+    running_sum(steps)
+    return out
 
 
 def impacted_quote_path(bundle, strategy, lam: float) -> ImpactedQuotePath:
@@ -109,9 +182,18 @@ def impacted_quote_path(bundle, strategy, lam: float) -> ImpactedQuotePath:
     The cumulative displacement after the node-k trade is
     2 lambda * sum_{i<=k} M_i dX_i, which realizes the depth-at-trade-time
     convention (M at the left node plus the covariation of depth and
-    position over the step ending at the trade).
+    position over the step ending at the trade).  The quotes are built on
+    time-major blocks of paths and written back path-major.
     """
     check_impact_fraction(lam)
-    x = positions(getattr(strategy, "x", strategy), bundle.n_paths, bundle.n_nodes)
-    shift = quote_shift(trade_flow(bundle.m, x)[1], lam)
-    return ImpactedQuotePath(s0_pre=pre_trade_quote(bundle.s, shift), s0_post=bundle.s + shift)
+    n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
+    x = positions(getattr(strategy, "x", strategy), n_paths, n_nodes)
+    s0_pre, s0_post = np.empty((n_paths, n_nodes)), np.empty((n_paths, n_nodes))
+    for block, (s_buf, m_buf, x_buf, dx_buf) in block_scratch(n_paths, n_nodes, 4):
+        s = time_major(bundle.s, block, s_buf)
+        dx = trade_flow(time_major(x, block, x_buf), dx_buf)
+        m_dx = np.multiply(time_major(bundle.m, block, m_buf), dx, out=m_buf)
+        shift = quote_shift(m_dx, lam, 1.0, out=m_buf)
+        s0_pre[block] = pre_trade_quote(s, shift, out=x_buf).T
+        s0_post[block] = np.add(s, shift, out=s_buf).T
+    return ImpactedQuotePath(s0_pre=s0_pre, s0_post=s0_post)

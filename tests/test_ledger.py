@@ -17,6 +17,7 @@ from liqlab import (
 )
 from liqlab.errors import InvalidParams, NotSubmartingaleParams
 from liqlab.ledger import export_ledger_csv
+from liqlab.order_book import path_blocks
 
 from conftest import override
 
@@ -132,6 +133,21 @@ class TestCashDecomposed:
         x = rng.normal(0, 2, size=bundle.n_nodes)
         report = cash_decomposed(Strategy(x=x), bundle)
         assert (report.impact_term >= 0).all()
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_nan_position_gives_nan_discrepancy(self, default_config, where):
+        # the ledger takes its maxima block by block; one NaN entry in any
+        # block must still make the discrepancy NaN, as one max over the
+        # whole array does (Python's max(0.0, nan) would return 0.0)
+        cfg = override(default_config, grid__n_steps=16)
+        bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 3000, seed=8)
+        blocks = path_blocks(bundle.n_paths)
+        assert len(blocks) >= 3
+        block = {"first": blocks[0], "middle": blocks[len(blocks) // 2],
+                 "last": blocks[-1]}[where]
+        x = np.random.default_rng(4).normal(0, 2, size=(bundle.n_paths, bundle.n_nodes))
+        x[block.stop - 1, bundle.n_nodes // 2] = np.nan
+        assert np.isnan(cash_decomposed(Strategy(x=x), bundle).discrepancy)
 
     def test_quadratic_cost_vanishes_under_refinement(self, default_config):
         # Lipschitz-in-time profile: sum M dX^2 is O(dt)

@@ -1,12 +1,13 @@
-"""The one-pass ledger against the two-form ledger it replaced.
+"""The block ledger against the two-form ledger it replaced.
 
 `reference_cash_decomposed` keeps the earlier formulas verbatim: the quote
 path, the trade-by-trade cash and the attribution terms each computed from
 fresh full (n_paths, n_nodes) temporaries.  The package must reproduce
-every report array and the discrepancy bit for bit, and the arbitrage
-harness must reproduce the means and standard errors of the route that
-takes the last column of `gain_paths()`.  The memory tests bound what one
-ledger allocates and check that the harness holds one report at a time.
+every report array and the discrepancy bit for bit, within one block of
+paths and across many, and the arbitrage harness must reproduce the means
+and standard errors of the route that takes the last column of
+`gain_paths()`.  The memory tests bound what one ledger allocates and
+check that the harness holds one report at a time.
 """
 
 import weakref
@@ -20,17 +21,22 @@ from liqlab import (
     Strategy,
     arbitrage_harness,
     cash_decomposed,
+    cash_direct,
+    impacted_quote_path,
     ledger,
     round_trip_family,
     simulate_paths,
     swap_price_paths,
 )
-from liqlab.order_book import positions_2d
+from liqlab.order_book import path_blocks, positions_2d
 
 from conftest import override, traced_peak
 
 REPORT_ARRAYS = ("y_direct", "y_decomposed", "gains", "impact_term", "quad_cost",
                  "swap_gains", "swap_quad", "liq_value")
+
+# one block of paths, and 17 blocks of 187 paths whose last one is short
+PATH_COUNTS = (40, 3001)
 
 
 # -- the earlier ledger, verbatim ---------------------------------------------
@@ -131,9 +137,9 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def ledger_case(default_config, kind):
+def ledger_case(default_config, kind, n_paths):
     cfg = override(default_config, grid__n_steps=24)
-    bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 40, seed=17)
+    bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), n_paths, seed=17)
     rng = np.random.default_rng(29)
     y0 = 12.5
     if kind == "profile":
@@ -155,13 +161,23 @@ def ledger_case(default_config, kind):
 @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
 @pytest.mark.parametrize("kind", ["profile", "array", "swap legs"])
 def test_report_bitwise_equal_to_reference(default_config, kind, lam):
-    bundle, strategy, extra = ledger_case(default_config, kind)
-    got = cash_decomposed(strategy, bundle, lam=lam, **extra)
-    want = reference_cash_decomposed(strategy, bundle, lam=lam, **extra)
-    for name in REPORT_ARRAYS:
-        assert same_bits(getattr(got, name), getattr(want, name)), name
-    assert same_bits(got.discrepancy, want.discrepancy)
-    assert same_bits(got.terminal_gain(), want.gain_paths()[:, -1])
+    sizes = [block.stop - block.start for block in path_blocks(PATH_COUNTS[-1])]
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+    for n_paths in PATH_COUNTS:
+        bundle, strategy, extra = ledger_case(default_config, kind, n_paths)
+        got = cash_decomposed(strategy, bundle, lam=lam, **extra)
+        want = reference_cash_decomposed(strategy, bundle, lam=lam, **extra)
+        for name in REPORT_ARRAYS:
+            assert same_bits(getattr(got, name), getattr(want, name)), (n_paths, name)
+        assert same_bits(got.discrepancy, want.discrepancy), n_paths
+        assert same_bits(got.terminal_gain(), want.gain_paths()[:, -1]), n_paths
+
+        quotes = impacted_quote_path(bundle, strategy, lam)
+        want_quotes = reference_impacted_quote_path(bundle, strategy, lam)
+        assert same_bits(quotes.s0_pre, want_quotes.s0_pre), n_paths
+        assert same_bits(quotes.s0_post, want_quotes.s0_post), n_paths
+        assert same_bits(cash_direct(strategy, quotes, bundle, **extra),
+                         reference_cash_direct(strategy, want_quotes, bundle, **extra)), n_paths
 
 
 def test_harness_bitwise_equal_to_gain_paths_route(default_config):
