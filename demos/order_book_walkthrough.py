@@ -42,10 +42,9 @@ bundle.s[:, :] = s
 bundle.m[:, :] = m
 x_path = np.zeros(grid.n_nodes)
 x_path[2:5] = 10.0
-quotes = ll.impacted_quote_path(bundle, x_path, lam=1.0)
 strat = ll.Strategy(x=x_path, y0=0.0)
-cash = ll.cash_direct(strat, quotes, bundle)
+cash = ll.cash_decomposed(strat, bundle, lam=1.0).y_direct
 print(f"round trip of 10 shares at lambda=1: terminal cash {cash[0, -1]:+.6f}")
-cash0 = ll.cash_direct(strat, ll.impacted_quote_path(bundle, x_path, 0.0), bundle)
+cash0 = ll.cash_decomposed(strat, bundle, lam=0.0).y_direct
 print(f"same trip at lambda=0: terminal cash {cash0[0, -1]:+.6f} "
       f"(= -2 M x^2, the pure liquidity cost)")

@@ -44,7 +44,6 @@ from .ledger import (
     SwapLiquidity,
     arbitrage_harness,
     cash_decomposed,
-    cash_direct,
     check_admissible,
     liquidation_value,
     round_trip_family,

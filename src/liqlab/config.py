@@ -188,6 +188,8 @@ class ScenarioConfig:
             raise ValidationError("run.x0 must be nonzero")
         if self.get("run", "seed") < 0:
             raise ValidationError("run.seed must be nonnegative")
+        if self.get("strategy", "n_knots") < 0:
+            raise ValidationError("strategy.n_knots must be nonnegative")
         if experiment is not None and experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {experiment!r}")
         try:
@@ -203,6 +205,8 @@ class ScenarioConfig:
             raise ValidationError(
                 "arbitrage-test needs gamma_map=identity with positive gamma and eta"
             )
+        if experiment == "arbitrage-test" and self.get("run", "n_paths") < 2:
+            raise ValidationError("arbitrage-test needs run.n_paths of at least 2")
 
     # -- serialization --------------------------------------------------
 

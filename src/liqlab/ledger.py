@@ -1,33 +1,31 @@
-"""Self-financing cash accounting in trade-sum and decomposed form.
+"""Self-financing cash accounting: the trade-by-trade cash and its decomposition.
 
 A grid strategy holds X shares of stock and chi1, chi2 units of the two
 variance swaps; every trade executes on the impacted linear curve of the
-corresponding instrument.  The cash account can be computed two ways:
+corresponding instrument.  cash_decomposed builds the cash account two ways:
 
-* cash_direct: initial cash minus the cost of every trade, each priced at
+* y_direct: initial cash minus the cost of every trade, each priced at
   the pre-trade impacted quote plus the curve slope times the trade size;
-* cash_decomposed: gains + depth-impact term + quadratic liquidity cost,
+* y_decomposed: gains + depth-impact term + quadratic liquidity cost,
   netted against the liquidation value of the open positions.
 
 The two agree path by path, node by node, up to float accumulation; the
 discrepancy is reported so the identity stays an executable check.
 
-cash_decomposed builds both forms on the blocks of paths that
-order_book.path_blocks gives.  Each block's S, M and positions are copied
-time-major into preallocated (n_nodes, rows) scratch, where every
-difference, product and running sum runs along contiguous rows that fit
-in cache; the results are written back into the path-major (n_paths,
-n_nodes) report arrays.  Within
+Both forms are built on the blocks of paths that order_book.path_blocks
+gives.  Each block's S, M and positions are copied time-major into
+preallocated (n_nodes, rows) scratch, where every difference, product and
+running sum runs along contiguous rows that fit in cache; the results are
+written back into the path-major (n_paths, n_nodes) report arrays.  Within
 a block the trades dX, the depth-weighted trades M dX and their running
-sum (the quote displacement) are computed once and serve the quotes, the
+sum (the quote displacement) come once from order_book.stock_flow, the
+prologue order_book.impacted_quote_path shares, and serve the quotes, the
 trade-by-trade cash and the liquidation value; each attribution term is
 one running sum, and the sums keep the order y0 + gains + impact term +
 quadratic cost (+ swap terms) - liquidation value.  A running sum adds row
 k - 1 into row k, the additions of np.cumsum along time in its order, so
 every report bit is the same at any block size.  A 1-d position profile
-is differenced as one (n_nodes, 1) column and broadcast.  cash_direct and
-order_book.impacted_quote_path go through the same block helpers, so each
-formula exists once.
+is differenced as one (n_nodes, 1) column and broadcast.
 
 arbitrage_harness takes each strategy's terminal gain from the last report
 columns, in the order of LedgerReport.gain_paths, and drops the report
@@ -45,7 +43,6 @@ from .errors import GridMismatch, InvalidParams, NotSubmartingaleParams
 from .market import ModelParams, PathBundle, simulate_paths
 from .noise import TimeGrid
 from .order_book import (
-    ImpactedQuotePath,
     block_scratch,
     check_impact_fraction,
     like,
@@ -55,6 +52,7 @@ from .order_book import (
     quote_shift,
     running_integral,
     running_sum,
+    stock_flow,
     time_major,
     trade_cost,
     trade_flow,
@@ -183,59 +181,6 @@ def _swap_legs(strategy, bundle, swaps, swap_prices) -> list[_Leg]:
     return legs
 
 
-def _leg_flow(leg: _Leg, block: slice, bufs):
-    """A leg's time-major positions, trades, prices and quote displacement on one block."""
-    pos_buf, dpos_buf, prices_buf, shift_buf = bufs
-    pos = time_major(leg.pos, block, pos_buf)
-    dpos = trade_flow(pos, dpos_buf)
-    prices = time_major(leg.prices, block, prices_buf)
-    return pos, dpos, prices, quote_shift(dpos, leg.lam, leg.m_slope, shift_buf)
-
-
-def _leg_cost(leg: _Leg, dpos, prices, shift, out, tmp) -> np.ndarray:
-    """Outlay of a leg's trades on its constant-slope curve, written into out."""
-    m_dpos = np.multiply(leg.m_slope, dpos, out=like(tmp, dpos))
-    return trade_cost(pre_trade_quote(prices, shift, out=out), dpos, m_dpos)
-
-
-def _cash(y0: float, cost: np.ndarray) -> np.ndarray:
-    """y0 minus the running sum of the outlays cost, written over cost."""
-    running_sum(cost)
-    return np.subtract(y0, cost, out=cost)
-
-
-def cash_direct(
-    strategy: Strategy,
-    quotes: ImpactedQuotePath,
-    bundle: PathBundle,
-    swaps: SwapLiquidity | None = None,
-    swap_prices=None,
-) -> np.ndarray:
-    """Cash path from the trade-by-trade definition.
-
-    Each stock trade dX at node k costs dX * (S0_pre_k + M_k dX); swap
-    trades are priced the same way on their own impacted constant-slope
-    curves.
-    """
-    n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    x = positions(strategy.x, n_paths, n_nodes)
-    if quotes.s0_pre.shape != (n_paths, n_nodes):
-        raise GridMismatch("quotes do not match the strategy grid")
-    legs = _swap_legs(strategy, bundle, swaps, swap_prices)
-    y = np.empty((n_paths, n_nodes))
-    scratch = block_scratch(n_paths, n_nodes, 4 + 6 * bool(legs))
-    for block, (cost_buf, m_buf, x_buf, dx_buf, *leg_bufs) in scratch:
-        dx = trade_flow(time_major(x, block, x_buf), dx_buf)
-        m_dx = np.multiply(time_major(bundle.m, block, m_buf), dx, out=m_buf)
-        cost = trade_cost(time_major(quotes.s0_pre, block, cost_buf), dx, m_dx)
-        for leg in legs:
-            leg_buf, tmp_buf, *flow_bufs = leg_bufs
-            _, dpos, prices, shift = _leg_flow(leg, block, flow_bufs)
-            cost += _leg_cost(leg, dpos, prices, shift, leg_buf, tmp_buf)
-        y[block] = _cash(strategy.y0, cost).T
-    return y
-
-
 def cash_decomposed(
     strategy: Strategy,
     bundle: PathBundle,
@@ -245,8 +190,9 @@ def cash_decomposed(
 ) -> LedgerReport:
     """Cash path reconstructed from the gains/impact/quadratic attribution.
 
-    Also builds the cash_direct path from the same trades, depth-weighted
-    trades and quote displacement, and reports the maximum relative
+    Also builds the trade-by-trade cash, where a trade dX at node k costs
+    dX * (S0_pre_k + M_k dX) on its instrument's impacted curve, from the
+    same trades and quote displacement, and reports the maximum relative
     discrepancy between the two forms.  Each block of paths is worked
     time-major in preallocated scratch and written into the report arrays.
     """
@@ -266,12 +212,8 @@ def cash_decomposed(
     peaks = []      # per block: max |y_dir| and max |y_dir - y_dec|
     for block, (s_buf, m_buf, x_buf, dx_buf, cost_buf, liq_buf, dec_buf, term_buf, tmp_buf,
                 *leg_bufs) in scratch:
-        s = time_major(bundle.s, block, s_buf)
-        m = time_major(bundle.m, block, m_buf)
-        xb = time_major(x, block, x_buf)
-        dx = trade_flow(xb, dx_buf)
-        m_dx = np.multiply(m, dx, out=tmp_buf)
-        shift = quote_shift(m_dx, lam, 1.0, out=term_buf)
+        s, m, xb, dx, m_dx, shift = stock_flow(
+            bundle, x, lam, block, (s_buf, m_buf, x_buf, dx_buf, tmp_buf, term_buf))
         cost = trade_cost(pre_trade_quote(s, shift, out=cost_buf), dx, m_dx)
         liquidation = liquidation_value(xb, np.add(s, shift, out=term_buf), m, lam, out=liq_buf)
 
@@ -291,15 +233,19 @@ def cash_decomposed(
         quad_cost[block] = term.T
         decomposed += term
         if legs:
-            leg_gains, leg_quad, leg_buf, *flow_bufs = leg_bufs
+            leg_gains, leg_quad, leg_buf, pos_buf, dpos_buf, prices_buf, shift_buf = leg_bufs
             leg_gains.fill(0.0)
             leg_quad.fill(0.0)
             for leg in legs:
-                pos, dpos, prices, leg_shift = _leg_flow(leg, block, flow_bufs)
+                pos = time_major(leg.pos, block, pos_buf)
+                dpos = trade_flow(pos, dpos_buf)
+                prices = time_major(leg.prices, block, prices_buf)
+                leg_shift = quote_shift(dpos, leg.lam, leg.m_slope, shift_buf)
                 leg_gains += running_integral(pos[:-1], prices, out=term_buf)
                 dpos_sq = running_sum(np.square(dpos, out=like(tmp_buf, dpos)))
                 leg_quad += np.multiply(-(1.0 - leg.lam) * leg.m_slope, dpos_sq, out=dpos_sq)
-                cost += _leg_cost(leg, dpos, prices, leg_shift, leg_buf, tmp_buf)
+                m_dpos = np.multiply(leg.m_slope, dpos, out=like(tmp_buf, dpos))
+                cost += trade_cost(pre_trade_quote(prices, leg_shift, out=leg_buf), dpos, m_dpos)
                 liquidation += liquidation_value(pos, np.add(prices, leg_shift, out=leg_buf),
                                                  leg.m_slope, leg.lam, out=tmp_buf)
             swap_gains[block] = leg_gains.T
@@ -310,7 +256,7 @@ def cash_decomposed(
         liq[block] = liquidation.T
         y_dec[block] = decomposed.T
 
-        direct = _cash(strategy.y0, cost)
+        direct = np.subtract(strategy.y0, running_sum(cost), out=cost)
         y_dir[block] = direct.T
         peaks.append((np.abs(direct, out=term_buf).max(),
                       np.abs(np.subtract(direct, decomposed, out=term_buf), out=term_buf).max()))
@@ -364,6 +310,8 @@ def arbitrage_harness(
         raise NotSubmartingaleParams(
             "harness needs identity depth map with positive gamma and eta"
         )
+    if n_paths < 2:
+        raise InvalidParams("harness needs at least 2 paths for a standard error")
     bundle = simulate_paths(params, grid, n_paths, seed)
     means, errs, labels = [], [], []
     for i, entry in enumerate(strategy_family):

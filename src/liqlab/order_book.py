@@ -11,8 +11,9 @@ Along a path the quote and the cash are running sums over time, which run
 fastest time-major.  So the path arrays are worked in blocks of paths
 (path_blocks): each block is copied transposed into preallocated
 (n_nodes, rows) scratch (block_scratch, time_major), the helpers below act
-down its rows, and the results are written back path-major.  The ledger
-shares these helpers.
+down its rows, and the results are written back path-major.  stock_flow is
+the block prologue that impacted_quote_path and ledger.cash_decomposed
+share: S, M, positions, trades, depth-weighted trades and quote shift.
 """
 
 from __future__ import annotations
@@ -176,24 +177,36 @@ def running_integral(weight, path, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def impacted_quote_path(bundle, strategy, lam: float) -> ImpactedQuotePath:
+def stock_flow(bundle, x, lam: float, block: slice, bufs):
+    """A block's time-major S, M, positions, trades, depth-weighted trades
+    and quote shift, in that order, built in the six scratch arrays bufs.
+    The last two buffers may repeat M's, each written over it in place."""
+    s_buf, m_buf, x_buf, dx_buf, m_dx_buf, shift_buf = bufs
+    s = time_major(bundle.s, block, s_buf)
+    m = time_major(bundle.m, block, m_buf)
+    x = time_major(x, block, x_buf)
+    dx = trade_flow(x, dx_buf)
+    m_dx = np.multiply(m, dx, out=m_dx_buf)
+    return s, m, x, dx, m_dx, quote_shift(m_dx, lam, 1.0, out=shift_buf)
+
+
+def impacted_quote_path(bundle, x, lam: float) -> ImpactedQuotePath:
     """Quote path under a grid trading strategy.
 
     The cumulative displacement after the node-k trade is
     2 lambda * sum_{i<=k} M_i dX_i, which realizes the depth-at-trade-time
     convention (M at the left node plus the covariation of depth and
     position over the step ending at the trade).  The quotes are built on
-    time-major blocks of paths and written back path-major.
+    time-major blocks of paths and written back path-major.  x is a 1-d
+    position profile or an (n_paths, n_nodes) array.
     """
     check_impact_fraction(lam)
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    x = positions(getattr(strategy, "x", strategy), n_paths, n_nodes)
+    x = positions(x, n_paths, n_nodes)
     s0_pre, s0_post = np.empty((n_paths, n_nodes)), np.empty((n_paths, n_nodes))
     for block, (s_buf, m_buf, x_buf, dx_buf) in block_scratch(n_paths, n_nodes, 4):
-        s = time_major(bundle.s, block, s_buf)
-        dx = trade_flow(time_major(x, block, x_buf), dx_buf)
-        m_dx = np.multiply(time_major(bundle.m, block, m_buf), dx, out=m_buf)
-        shift = quote_shift(m_dx, lam, 1.0, out=m_buf)
+        s, *_, shift = stock_flow(bundle, x, lam, block,
+                                  (s_buf, m_buf, x_buf, dx_buf, m_buf, m_buf))
         s0_pre[block] = pre_trade_quote(s, shift, out=x_buf).T
         s0_post[block] = np.add(s, shift, out=s_buf).T
     return ImpactedQuotePath(s0_pre=s0_pre, s0_post=s0_post)

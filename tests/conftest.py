@@ -1,9 +1,20 @@
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from liqlab import ScenarioConfig
+
+# Property tests draw the same examples on every run, keep no example
+# database, and give each example a fixed time budget.  Hypothesis's other
+# caches go to a temporary directory removed at exit, not the checkout.
+settings.register_profile("liqlab", derandomize=True, database=None, deadline=1000)
+settings.load_profile("liqlab")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="liqlab-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

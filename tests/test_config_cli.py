@@ -129,6 +129,8 @@ class TestValidation:
         ("swaps", ["model.theta_scale=0"]),
         ("bsde", ["model.phi_exponent=3"]),
         ("replicate", ["model.theta_exponent=0.75"]),
+        ("arbitrage-test", ["run.n_paths=1"]),
+        ("ledger", ["strategy.kind=random", "strategy.n_knots=-1"]),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)

@@ -7,7 +7,6 @@ from liqlab import (
     SwapLiquidity,
     arbitrage_harness,
     cash_decomposed,
-    cash_direct,
     check_admissible,
     impacted_quote_path,
     liquidation_value,
@@ -46,8 +45,7 @@ class TestCashDirect:
         cfg = override(default_config, grid__n_steps=12)
         bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), 8, seed=2)
         strat = Strategy(x=np.zeros(bundle.n_nodes), y0=7.5)
-        quotes = impacted_quote_path(bundle, strat.x, cfg.model_params().lambda_impact)
-        y = cash_direct(strat, quotes, bundle)
+        y = cash_decomposed(strat, bundle, lam=cfg.model_params().lambda_impact).y_direct
         npt.assert_array_equal(y, 7.5)
 
     def test_round_trip_full_impact_hand_ledger(self, default_config):
@@ -57,8 +55,7 @@ class TestCashDirect:
         x = np.zeros(bundle.n_nodes)
         x[1:3] = 1.0
         strat = Strategy(x=x, y0=100.0)
-        quotes = impacted_quote_path(bundle, x, 1.0)
-        y = cash_direct(strat, quotes, bundle)
+        y = cash_decomposed(strat, bundle, lam=1.0).y_direct
         npt.assert_allclose(y[:, -1], 100.0, rtol=1e-14)
 
     def test_round_trip_no_impact_hand_ledger(self, default_config):
@@ -68,8 +65,7 @@ class TestCashDirect:
         x = np.zeros(bundle.n_nodes)
         x[1:3] = 1.0
         strat = Strategy(x=x, y0=100.0)
-        quotes = impacted_quote_path(bundle, x, 0.0)
-        y = cash_direct(strat, quotes, bundle)
+        y = cash_decomposed(strat, bundle, lam=0.0).y_direct
         npt.assert_allclose(y[:, -1], 100.0 - 2 * m0, rtol=1e-12)
 
 
@@ -225,6 +221,13 @@ class TestArbitrageHarness:
         cfg = override(default_config, model__gamma=-0.2)
         with pytest.raises(NotSubmartingaleParams):
             arbitrage_harness([], cfg.model_params(), cfg.time_grid(), 10, seed=1)
+
+    def test_one_path_rejected(self, default_config):
+        # one path has no standard error: every stderr was nan, violates False
+        grid = default_config.time_grid()
+        strat = Strategy(x=np.zeros(grid.n_nodes))
+        with pytest.raises(InvalidParams, match="at least 2 paths"):
+            arbitrage_harness([strat], default_config.model_params(), grid, 1, seed=1)
 
     def test_open_strategy_rejected(self, default_config):
         grid = default_config.time_grid()

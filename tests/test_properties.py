@@ -1,0 +1,68 @@
+"""Property tests over drawn inputs, on the profile that conftest loads.
+
+* The ledger: every LedgerReport array and the discrepancy of
+  cash_decomposed equal, bit for bit, those of the verbatim whole-array
+  reference in test_ledger_reference, for drawn impact fractions, path
+  counts that cross several 64-row blocks, position kinds and swap
+  liquidity; and the two cash forms agree within the ledger bound.
+* The configuration: serialize then parse gives back every SCHEMA value,
+  with its type, for drawn well-typed values.
+"""
+
+import string
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from liqlab import Strategy, SwapLiquidity, cash_decomposed, simulate_paths, swap_price_paths
+from liqlab.config import _CHOICES, SCHEMA, ScenarioConfig, parse_config_text
+
+from conftest import override
+from test_ledger_reference import REPORT_ARRAYS, reference_cash_decomposed, same_bits
+
+unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(lam=unit, n_paths=st.integers(1, 200), kind=st.sampled_from(["profile", "array", "swap legs"]),
+       m1=st.floats(1e-4, 0.1), m2=st.floats(1e-4, 0.1), l1=unit, l2=unit,
+       y0=st.floats(-100.0, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_ledger_bitwise_equal_to_reference(lam, n_paths, kind, m1, m2, l1, l2, y0, seed):
+    cfg = override(ScenarioConfig(), grid__n_steps=8)
+    bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), n_paths, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    shape = (n_paths, bundle.n_nodes) if kind != "profile" else bundle.n_nodes
+    strategy, extra = Strategy(x=rng.normal(0.0, 3.0, size=shape), y0=y0), {}
+    if kind == "swap legs":
+        prices = tuple(swap_price_paths(bundle, spec) for spec in cfg.swap_specs())
+        strategy = Strategy(x=strategy.x, chi1=rng.normal(0.0, 1.0, size=bundle.n_nodes),
+                            chi2=rng.normal(0.0, 1.0, size=shape), y0=y0)
+        extra = {"swaps": SwapLiquidity(m1, m2, l1, l2), "swap_prices": prices}
+
+    got = cash_decomposed(strategy, bundle, lam=lam, **extra)
+    want = reference_cash_decomposed(strategy, bundle, lam=lam, **extra)
+    for name in REPORT_ARRAYS:
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert same_bits(got.discrepancy, want.discrepancy)
+    assert got.discrepancy < 1e-9
+
+
+def _value(key):
+    typ, _ = SCHEMA[key]
+    if key in _CHOICES:
+        return st.sampled_from(sorted(_CHOICES[key]))
+    if typ is float:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if typ is int:
+        return st.integers()
+    # one line per value: no line breaks, and the parser strips the ends
+    return st.text(string.ascii_letters + string.digits + string.punctuation + " ",
+                   max_size=12).map(str.strip)
+
+
+@given(st.fixed_dictionaries({key: _value(key) for key in SCHEMA}))
+def test_config_serialize_parse_round_trip(values):
+    cfg = ScenarioConfig(values=values)
+    again = parse_config_text(cfg.serialize())
+    assert again == cfg
+    assert [repr(again.values[key]) for key in SCHEMA] == [repr(values[key]) for key in SCHEMA]
