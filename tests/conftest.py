@@ -9,12 +9,16 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from liqlab import ScenarioConfig
 
 # Property tests draw the same examples on every run, keep no example
-# database, and give each example a fixed time budget.  Hypothesis's other
-# caches go to a temporary directory removed at exit, not the checkout.
+# database, and give each example a fixed time budget.
 settings.register_profile("liqlab", derandomize=True, database=None, deadline=1000)
 settings.load_profile("liqlab")
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="liqlab-hypothesis-")
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_configure(config):
+    # hypothesis's other caches go to a temporary directory, not the checkout
+    home = tempfile.TemporaryDirectory(prefix="liqlab-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture
