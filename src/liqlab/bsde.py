@@ -79,8 +79,12 @@ class BsdeConfig:
             raise InvalidParams("payoff truncation level n_trunc must be positive")
         if self.degree < 1:
             raise InvalidParams("basis degree must be at least 1")
-        if self.ridge < 0.0:
-            raise InvalidParams("ridge penalty must be nonnegative")
+        if self.picard_iters < 1:
+            raise InvalidParams("Picard iteration cap picard_iters must be at least 1")
+        if not self.ridge > 0.0:
+            # columns with no spread (all but the intercept at step 0) are
+            # zero, and only the ridge keeps the Gram matrix invertible
+            raise InvalidParams("ridge penalty must be positive")
 
 
 @dataclass(frozen=True)

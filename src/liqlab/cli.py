@@ -30,7 +30,7 @@ from .ledger import (
     export_ledger_csv,
     round_trip_family,
 )
-from .market import export_paths_csv, simulate_paths
+from .market import PathBundle, export_paths_csv, simulate_paths
 from .payoffs import truncate_payoff
 from .replication import replication_cost_curve
 from .swaps import psi_matrix, swap_price, swap_price_paths
@@ -40,19 +40,21 @@ from .table import grid_index, write_table
 def _write_run_stamp(cfg: ScenarioConfig, out_dir: Path, subcommand: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved.cfg").write_text(cfg.serialize())
-    stamp = {"version": __version__, "subcommand": subcommand,
-             "seed": cfg.get("run", "seed")}
-    (out_dir / "run_info.json").write_text(json.dumps(stamp, sort_keys=True, indent=2))
+    _json_dump({"version": __version__, "subcommand": subcommand,
+                "seed": cfg.get("run", "seed")}, out_dir / "run_info.json")
 
 
 def _json_dump(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _bundle(cfg: ScenarioConfig) -> PathBundle:
+    return simulate_paths(cfg.model_params(), cfg.time_grid(),
+                          cfg.get("run", "n_paths"), cfg.get("run", "seed"))
+
+
 def _cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> None:
-    bundle = simulate_paths(cfg.model_params(), cfg.time_grid(),
-                            cfg.get("run", "n_paths"), cfg.get("run", "seed"))
-    export_paths_csv(bundle, out_dir / "paths.csv")
+    export_paths_csv(_bundle(cfg), out_dir / "paths.csv")
 
 
 def _build_strategy(cfg: ScenarioConfig, n_nodes: int) -> Strategy:
@@ -77,8 +79,7 @@ def _build_strategy(cfg: ScenarioConfig, n_nodes: int) -> Strategy:
 
 
 def _cmd_ledger(cfg: ScenarioConfig, out_dir: Path) -> None:
-    bundle = simulate_paths(cfg.model_params(), cfg.time_grid(),
-                            cfg.get("run", "n_paths"), cfg.get("run", "seed"))
+    bundle = _bundle(cfg)
     strategy = _build_strategy(cfg, bundle.n_nodes)
     report = cash_decomposed(strategy, bundle)
     export_ledger_csv(bundle, strategy, report, out_dir / "ledger.csv")
@@ -88,14 +89,11 @@ def _cmd_ledger(cfg: ScenarioConfig, out_dir: Path) -> None:
 
 
 def _cmd_swaps(cfg: ScenarioConfig, out_dir: Path) -> None:
-    params = cfg.model_params()
-    grid = cfg.time_grid()
-    bundle = simulate_paths(params, grid, cfg.get("run", "n_paths"),
-                            cfg.get("run", "seed"))
+    bundle = _bundle(cfg)
+    params, times = bundle.params, bundle.grid.times()
     spec1, spec2 = cfg.swap_specs()
     g1 = swap_price_paths(bundle, spec1)
     g2 = swap_price_paths(bundle, spec2)
-    times = grid.times()
     n_show = min(10, bundle.n_paths)
     psi = psi_matrix(times[None, :], bundle.u[:n_show], bundle.v[:n_show],
                      bundle.s[:n_show], params, spec1.maturity, spec2.maturity)
@@ -118,9 +116,7 @@ def _cmd_bsde(cfg: ScenarioConfig, out_dir: Path) -> None:
     """Solve the lambda = 0 (no persistent impact) value equation for the
     configured payoff and write per-step solver diagnostics.
     model.lambda_impact is ignored here; `replicate` uses it."""
-    params = cfg.model_params()
-    bundle = simulate_paths(params, cfg.time_grid(), cfg.get("run", "n_paths"),
-                            cfg.get("run", "seed"))
+    bundle = _bundle(cfg)
     bcfg = cfg.bsde_config()
     trunc = truncate_payoff(cfg.payoff(), bcfg.n_trunc)
     terminal = terminal_condition(bundle, trunc, x_units=1.0, lam=0.0)
@@ -220,10 +216,7 @@ def main(argv=None) -> int:
         if args.threads is not None:
             cfg.values[("run", "threads")] = args.threads
         out_dir = args.out if args.out is not None else cfg.get("run", "out_dir")
-    except LiqLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LiqLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(args.subcommand, cfg, out_dir)

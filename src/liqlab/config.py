@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bsde import BsdeConfig
 from .errors import ParseError, ValidationError, ValidationFailure
 from .ledger import SwapLiquidity
 from .market import GammaMap, ModelParams, VolCoeff
@@ -135,9 +136,7 @@ class ScenarioConfig:
                         n_steps=self.get("grid", "n_steps"),
                         t1=self.get("grid", "t1"), t2=self.get("grid", "t2"))
 
-    def bsde_config(self):
-        from .bsde import BsdeConfig
-
+    def bsde_config(self) -> BsdeConfig:
         return BsdeConfig(
             l_trunc=self.get("bsde", "l_trunc"), n_trunc=self.get("bsde", "n_trunc"),
             degree=self.get("bsde", "degree"),
@@ -225,9 +224,6 @@ class ScenarioConfig:
 
     def copy(self) -> "ScenarioConfig":
         return ScenarioConfig(values=dict(self.values))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ScenarioConfig) and self.values == other.values
 
 
 def _render(val) -> str:

@@ -87,11 +87,8 @@ class Strategy:
         return self.chi1 is not None or self.chi2 is not None
 
     def is_closed(self, n_paths: int, n_nodes: int) -> bool:
-        flat = np.all(self.stock(n_paths, n_nodes)[:, -1] == 0.0)
-        if self.has_swaps():
-            flat = flat and np.all(self.swap(1, n_paths, n_nodes)[:, -1] == 0.0)
-            flat = flat and np.all(self.swap(2, n_paths, n_nodes)[:, -1] == 0.0)
-        return bool(flat)
+        return all(np.all(positions(pos, n_paths, n_nodes)[..., -1] == 0.0)
+                   for pos in (self.x, self.chi1, self.chi2) if pos is not None)
 
 
 @dataclass(frozen=True)
@@ -312,9 +309,12 @@ def arbitrage_harness(
         )
     if n_paths < 2:
         raise InvalidParams("harness needs at least 2 paths for a standard error")
+    family = list(strategy_family)
+    if not family:
+        raise InvalidParams("harness needs at least one strategy")
     bundle = simulate_paths(params, grid, n_paths, seed)
     means, errs, labels = [], [], []
-    for i, entry in enumerate(strategy_family):
+    for i, entry in enumerate(family):
         z_t = _terminal_gain(entry, bundle, i)
         means.append(float(z_t.mean()))
         errs.append(float(z_t.std(ddof=1) / np.sqrt(n_paths)))

@@ -58,6 +58,11 @@ def hat_solution(bundle_lin: PathBundle, trunc: TruncatedPayoff,
     return hedge_from_solution(solve_quadratic_bsde(bundle_lin, terminal, config), bundle_lin)
 
 
+def _estimate(values: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of per-path values and its standard error."""
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.shape[0]))
+
+
 def h_prime_zero(bundle: PathBundle, hat: BsdeSolution, trunc: TruncatedPayoff, lam: float):
     """Monte Carlo estimate of the liquidity premium per unit at x = 0.
 
@@ -73,9 +78,7 @@ def h_prime_zero(bundle: PathBundle, hat: BsdeSolution, trunc: TruncatedPayoff, 
     dm = np.diff(bundle.m, axis=1)
     s_term = bundle.s[:, -1]
     term2 = 2.0 * lam * trunc.d(s_term) * np.sum(x_hat * dm, axis=1)
-    omega = term1 - term2
-    n = omega.shape[0]
-    return float(omega.mean()), float(omega.std(ddof=1) / np.sqrt(n))
+    return _estimate(term1 - term2)
 
 
 def impact_error(bundle: PathBundle, terminal: TerminalCondition, solution_x: BsdeSolution):
@@ -84,10 +87,7 @@ def impact_error(bundle: PathBundle, terminal: TerminalCondition, solution_x: Bs
     if solution_x.x is None:
         raise InvalidParams("solution has no recovered hedge; call hedge_from_solution")
     quotes = impacted_quote_path(bundle, solution_x.x, terminal.lam)
-    gap = quotes.s0_post[:, -1] - terminal.s_tilde
-    sq = gap ** 2
-    n = sq.shape[0]
-    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n))
+    return _estimate((quotes.s0_post[:, -1] - terminal.s_tilde) ** 2)
 
 
 @dataclass(frozen=True)
@@ -132,22 +132,14 @@ class ReplicationReport:
         }
 
     def to_json(self, path) -> None:
+        columns = {"x": self.xs, "Y0": self.y0s, "H0": self.h0s, "stderr": self.h0_stderrs,
+                   "diff_mean": self.diff_means, "diff_stderr": self.diff_stderrs,
+                   "delta_l2": self.delta_l2, "impact_err": self.impact_errs,
+                   "impact_stderr": self.impact_stderrs}
         payload = {
             "summary": self.summary(),
-            "rows": [
-                {
-                    "x": float(self.xs[i]),
-                    "Y0": float(self.y0s[i]),
-                    "H0": float(self.h0s[i]),
-                    "stderr": float(self.h0_stderrs[i]),
-                    "diff_mean": float(self.diff_means[i]),
-                    "diff_stderr": float(self.diff_stderrs[i]),
-                    "delta_l2": float(self.delta_l2[i]),
-                    "impact_err": float(self.impact_errs[i]),
-                    "impact_stderr": float(self.impact_stderrs[i]),
-                }
-                for i in range(len(self.xs))
-            ],
+            "rows": [{name: float(col[i]) for name, col in columns.items()}
+                     for i in range(len(self.xs))],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -162,6 +154,13 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0])
 
 
+def _delta_l2(sol: BsdeSolution, x: float, hat: BsdeSolution) -> float:
+    """Mean square of X^x / x - Xhat over the nodes where the x-run's paths are alive."""
+    alive = np.arange(sol.x.shape[1])[None, :] < sol.tau_index[:, None]
+    gap = (sol.x / x - hat.x)[alive]
+    return float(np.mean(gap ** 2)) if gap.size else 0.0
+
+
 def replication_cost_curve(
     params: ModelParams,
     grid: TimeGrid,
@@ -173,8 +172,8 @@ def replication_cost_curve(
 ) -> ReplicationReport:
     """Run the full per-unit-cost experiment over a grid of unit counts."""
     xs = np.asarray(list(xs), dtype=float)
-    if np.any(xs == 0.0) or np.unique(xs).size < xs.size:
-        raise InvalidParams("unit counts must be nonzero and distinct")
+    if xs.size == 0 or np.any(xs == 0.0) or np.unique(xs).size < xs.size:
+        raise InvalidParams("unit counts must be nonempty, nonzero and distinct")
     params.validate(require_swap_hedging=True)
     lam = params.lambda_impact
     trunc = truncate_payoff(payoff, config.n_trunc)
@@ -185,57 +184,44 @@ def replication_cost_curve(
     bundle_lin = replace(bundle, params=with_epsilon(params, 0.0), m=np.zeros_like(bundle.m))
     hat = hat_solution(bundle_lin, trunc, config)
 
-    n = bundle.n_paths
-    y0s, h0s, h0_errs = [], [], []
-    diff_means, diff_errs, delta_l2 = [], [], []
-    imp_errs, imp_stderrs = [], []
-    per_path_diffs = {}
-    smallness_warning = False
-
     terminals = [terminal_condition(bundle, trunc, x, lam, hat.x) for x in xs]
     runs = solve_and_hedge(bundle, terminals, config)
-    for x, terminal, sol in zip(xs, terminals, runs):
+    for x, sol in zip(xs, runs):
         if not sol.diagnostics.smallness_ok:
-            smallness_warning = True
             warnings.warn(f"x = {x:g} outside the contraction smallness regime",
                           RuntimeWarning, stacklevel=2)
-        y0s.append(sol.y0)
-        h0s.append(sol.y0 / x)
-        h0_errs.append(sol.y0_stderr / abs(x))
-        d = sol.xi / x - hat.xi
-        per_path_diffs[float(x)] = d
-        diff_means.append(float(d.mean()))
-        diff_errs.append(float(d.std(ddof=1) / np.sqrt(n)))
-        alive = np.arange(bundle.n_nodes)[None, :] < sol.tau_index[:, None]
-        gap = (sol.x / x - hat.x)[alive]
-        delta_l2.append(float(np.mean(gap ** 2)) if gap.size else 0.0)
-        mse, mse_err = impact_error(bundle, terminal, sol)
-        imp_errs.append(mse)
-        imp_stderrs.append(mse_err)
 
-    hp_an, hp_an_err = h_prime_zero(bundle, hat, trunc, lam)
+    def paired_diff(i):
+        """Per-path D(x) = xi(x) / x - xi_hat of the i-th unit count."""
+        return runs[i].xi / xs[i] - hat.xi
+
+    diff_means, diff_errs = np.array([_estimate(paired_diff(i)) for i in range(len(xs))]).T
+    delta_l2 = np.array([_delta_l2(sol, x, hat) for x, sol in zip(xs, runs)])
+    imp_errs, imp_stderrs = np.array([impact_error(bundle, terminal, sol)
+                                      for terminal, sol in zip(terminals, runs)]).T
+
     order = np.argsort(np.abs(xs))
-    x2 = float(xs[order[0]])
+    x2 = xs[order[0]]
     if len(xs) >= 2:
         # Richardson step on D(x) / x = H'(0) + O(x) through the two smallest |x|
-        x1 = float(xs[order[1]])
+        x1 = xs[order[1]]
         r = x1 / x2
-        fd_pp = (r * per_path_diffs[x2] / x2 - per_path_diffs[x1] / x1) / (r - 1.0)
+        fd_pp = (r * paired_diff(order[0]) / x2 - paired_diff(order[1]) / x1) / (r - 1.0)
     else:
-        fd_pp = per_path_diffs[x2] / x2
-    hp_fd = float(fd_pp.mean())
-    hp_fd_err = float(fd_pp.std(ddof=1) / np.sqrt(n))
+        fd_pp = paired_diff(order[0]) / x2
+    hp_fd, hp_fd_err = _estimate(fd_pp)
+    hp_an, hp_an_err = h_prime_zero(bundle, hat, trunc, lam)
 
-    report = ReplicationReport(
-        xs=xs, y0s=np.array(y0s), h0s=np.array(h0s), h0_stderrs=np.array(h0_errs),
-        diff_means=np.array(diff_means), diff_stderrs=np.array(diff_errs),
-        delta_l2=np.array(delta_l2),
-        impact_errs=np.array(imp_errs), impact_stderrs=np.array(imp_stderrs),
+    y0s = np.array([sol.y0 for sol in runs])
+    return ReplicationReport(
+        xs=xs, y0s=y0s, h0s=y0s / xs,
+        h0_stderrs=np.array([sol.y0_stderr for sol in runs]) / np.abs(xs),
+        diff_means=diff_means, diff_stderrs=diff_errs, delta_l2=delta_l2,
+        impact_errs=imp_errs, impact_stderrs=imp_stderrs,
         yhat0=hat.y0, yhat0_stderr=hat.y0_stderr,
         hprime0_analytic=hp_an, hprime0_analytic_stderr=hp_an_err,
         hprime0_fd=hp_fd, hprime0_fd_stderr=hp_fd_err,
         h0_slope=_loglog_slope(np.abs(xs), np.abs(diff_means)),
         impact_slope=_loglog_slope(np.abs(xs), imp_errs),
-        smallness_warning=smallness_warning,
+        smallness_warning=not all(sol.diagnostics.smallness_ok for sol in runs),
     )
-    return report

@@ -131,6 +131,8 @@ class TestValidation:
         ("replicate", ["model.theta_exponent=0.75"]),
         ("arbitrage-test", ["run.n_paths=1"]),
         ("ledger", ["strategy.kind=random", "strategy.n_knots=-1"]),
+        ("bsde", ["bsde.ridge=0"]),
+        ("replicate", ["bsde.picard_iters=0"]),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)

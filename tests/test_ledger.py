@@ -14,6 +14,7 @@ from liqlab import (
     simulate_paths,
     swap_price_paths,
 )
+from liqlab import ledger
 from liqlab.errors import InvalidParams, NotSubmartingaleParams
 from liqlab.ledger import export_ledger_csv
 from liqlab.order_book import path_blocks
@@ -228,6 +229,16 @@ class TestArbitrageHarness:
         strat = Strategy(x=np.zeros(grid.n_nodes))
         with pytest.raises(InvalidParams, match="at least 2 paths"):
             arbitrage_harness([strat], default_config.model_params(), grid, 1, seed=1)
+
+    def test_empty_family_rejected_before_simulating(self, default_config, monkeypatch):
+        # an empty family has no worst z score: reject it before simulating
+        def no_simulation(*args):
+            raise AssertionError("simulated before checking the family")
+
+        monkeypatch.setattr(ledger, "simulate_paths", no_simulation)
+        with pytest.raises(InvalidParams, match="at least one strategy"):
+            arbitrage_harness([], default_config.model_params(), default_config.time_grid(),
+                              10, seed=1)
 
     def test_open_strategy_rejected(self, default_config):
         grid = default_config.time_grid()

@@ -7,6 +7,11 @@
   liquidity; and the two cash forms agree within the ledger bound.
 * The configuration: serialize then parse gives back every SCHEMA value,
   with its type, for drawn well-typed values.
+* The hedge round trip: invert_hedge recovers the (stock, swap1, swap2)
+  position from exposure_from_hedge at drawn states, within 1e-10 times
+  max(1, |position|).
+* Noise prefix stability: the first m paths of a draw of n are, bit for
+  bit, the draw of m, for drawn seeds of one or more 32-bit words.
 """
 
 import string
@@ -15,7 +20,20 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liqlab import Strategy, SwapLiquidity, cash_decomposed, simulate_paths, swap_price_paths
+from liqlab import (
+    Strategy,
+    SwapLiquidity,
+    TimeGrid,
+    cash_decomposed,
+    decompose_correlation,
+    draw_noise,
+    exposure_from_hedge,
+    invert_hedge,
+    psi_matrix,
+    simulate_paths,
+    swap_price_paths,
+    zeta_coeff,
+)
 from liqlab.config import _CHOICES, SCHEMA, ScenarioConfig, parse_config_text
 
 from conftest import override
@@ -66,3 +84,29 @@ def test_config_serialize_parse_round_trip(values):
     again = parse_config_text(cfg.serialize())
     assert again == cfg
     assert [repr(again.values[key]) for key in SCHEMA] == [repr(values[key]) for key in SCHEMA]
+
+
+position = st.floats(-25.0, 25.0)
+
+
+@given(t=st.floats(0.0, 1.0), u=st.floats(0.01, 0.2), v=st.floats(0.01, 0.2),
+       s=st.floats(30.0, 300.0), x=position, chi1=position, chi2=position)
+def test_hedge_round_trip(t, u, v, s, x, chi1, chi2):
+    cfg = ScenarioConfig()
+    params, grid = cfg.model_params(), cfg.time_grid()
+    psi = psi_matrix(t, u, v, s, params, grid.t1, grid.t2)
+    sigma_s = np.sqrt(u + v) * s
+    zeta_u = zeta_coeff(u, params)
+    z = exposure_from_hedge(x, chi1, chi2, psi, sigma_s, zeta_u, params)
+    for got, want in zip(invert_hedge(z, psi, sigma_s, zeta_u, params), (x, chi1, chi2)):
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128)),
+       n_steps=st.integers(1, 16),
+       sizes=st.integers(1, 300).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))))
+def test_noise_prefix_stable(seed, n_steps, sizes):
+    m, n = sizes
+    grid, decomp = TimeGrid(horizon=1.0, n_steps=n_steps), decompose_correlation(np.eye(3))
+    big = draw_noise(grid, decomp, n, seed).db
+    assert big[:m].tobytes() == draw_noise(grid, decomp, m, seed).db.tobytes()

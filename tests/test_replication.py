@@ -213,6 +213,15 @@ class TestReplicationCostCurve:
         d100, d25 = report.diff_means
         npt.assert_allclose(report.hprime0_fd, (4 * d25 / 25 - d100 / 100) / 3, rtol=1e-9)
 
+    def test_fd_derivative_bits_at_ratio_2_4(self, default_config):
+        # r = 2.4 makes any reordering of the Richardson step visible in the
+        # bits; the pinned values are those of (r * D(x2) / x2 - D(x1) / x1) / (r - 1)
+        cfg = override(default_config, grid__n_steps=16)
+        report = replication_cost_curve(cfg.model_params(), cfg.time_grid(), cfg.payoff(),
+                                        (60.0, 25.0), 400, 909, cfg.bsde_config())
+        assert report.hprime0_fd == float.fromhex("-0x1.0397aaaa0ad39p-16")
+        assert report.hprime0_fd_stderr == float.fromhex("0x1.f8b2309481503p-19")
+
     def test_repeated_units_rejected_before_simulating(self, default_config, monkeypatch):
         def no_simulation(*args):
             raise AssertionError("simulated before validating the unit counts")
@@ -222,6 +231,18 @@ class TestReplicationCostCurve:
             replication_cost_curve(default_config.model_params(),
                                    default_config.time_grid(),
                                    call_ramp(100.0, 100.0), [50.0, 50.0], 100, 1,
+                                   default_config.bsde_config())
+
+    def test_no_units_rejected_before_simulating(self, default_config, monkeypatch):
+        # an empty list has no smallest unit count for the Richardson step
+        def no_simulation(*args):
+            raise AssertionError("simulated before validating the unit counts")
+
+        monkeypatch.setattr(replication, "simulate_paths", no_simulation)
+        with pytest.raises(InvalidParams, match="nonempty"):
+            replication_cost_curve(default_config.model_params(),
+                                   default_config.time_grid(),
+                                   call_ramp(100.0, 100.0), [], 100, 1,
                                    default_config.bsde_config())
 
     def test_equal_rates_rejected(self, default_config):
