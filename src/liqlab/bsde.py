@@ -73,14 +73,17 @@ class BsdeConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.l_trunc <= 1.0:
+        # written as `not x > bound` so that NaN fails each check
+        if not self.l_trunc > 1.0:
             raise InvalidParams("truncation threshold l_trunc must exceed 1")
-        if self.n_trunc <= 0.0:
+        if not self.n_trunc > 0.0:
             raise InvalidParams("payoff truncation level n_trunc must be positive")
         if self.degree < 1:
             raise InvalidParams("basis degree must be at least 1")
         if self.picard_iters < 1:
             raise InvalidParams("Picard iteration cap picard_iters must be at least 1")
+        if not self.picard_tol >= 0.0:
+            raise InvalidParams("Picard tolerance picard_tol must be nonnegative")
         if not self.ridge > 0.0:
             # columns with no spread (all but the intercept at step 0) are
             # zero, and only the ridge keeps the Gram matrix invertible
@@ -103,7 +106,7 @@ class TerminalCondition:
 
 def stopping_index(bundle: PathBundle, l_trunc: float) -> np.ndarray:
     """First grid node where S <= 1/L or Sigma leaves [1/L, L], else the last node."""
-    if l_trunc <= 1.0:
+    if not l_trunc > 1.0:
         raise InvalidParams("truncation threshold must exceed 1")
     inv = 1.0 / l_trunc
     bad = (bundle.s <= inv) | (bundle.sigma >= l_trunc) | (bundle.sigma <= inv)

@@ -14,18 +14,19 @@ discrepancy is reported so the identity stays an executable check.
 
 Both forms are built on the blocks of paths that order_book.path_blocks
 gives.  Each block's S, M and positions are copied time-major into
-preallocated (n_nodes, rows) scratch, where every difference, product and
-running sum runs along contiguous rows that fit in cache; the results are
-written back into the path-major (n_paths, n_nodes) report arrays.  Within
-a block the trades dX, the depth-weighted trades M dX and their running
-sum (the quote displacement) come once from order_book.stock_flow, the
-prologue order_book.impacted_quote_path shares, and serve the quotes, the
+(n_nodes, rows) arrays, where every difference, product and running sum
+runs along contiguous rows that fit in cache; the results are written back
+into the path-major (n_paths, n_nodes) report arrays.  Within a block the
+trades dX, the depth-weighted trades M dX and their running sum (the quote
+displacement) come once from order_book.stock_flow, the prologue
+order_book.impacted_quote_path shares, and serve the quotes, the
 trade-by-trade cash and the liquidation value; each attribution term is
 one running sum, and the sums keep the order y0 + gains + impact term +
-quadratic cost (+ swap terms) - liquidation value.  A running sum adds row
-k - 1 into row k, the additions of np.cumsum along time in its order, so
-every report bit is the same at any block size.  A 1-d position profile
-is differenced as one (n_nodes, 1) column and broadcast.
+quadratic cost (+ swap terms) - liquidation value, added in place into one
+block array.  A running sum adds row k - 1 into row k, the additions of
+np.cumsum along time in its order, so every report bit is the same at any
+block size.  A 1-d position profile is differenced as one (n_nodes, 1)
+column and broadcast.
 
 arbitrage_harness takes each strategy's terminal gain from the last report
 columns, in the order of LedgerReport.gain_paths, and drops the report
@@ -43,9 +44,8 @@ from .errors import GridMismatch, InvalidParams, NotSubmartingaleParams
 from .market import ModelParams, PathBundle, simulate_paths
 from .noise import TimeGrid
 from .order_book import (
-    block_scratch,
     check_impact_fraction,
-    like,
+    path_blocks,
     positions,
     positions_2d,
     pre_trade_quote,
@@ -136,17 +136,10 @@ class LedgerReport:
                 + self.swap_gains[:, -1] + self.swap_quad[:, -1])
 
 
-def liquidation_value(x, quote_post, m, lam, out=None):
+def liquidation_value(x, quote_post, m, lam):
     """Cash x (quote_post - lambda M x) from closing x shares by a continuous
-    finite-variation unwind.
-
-    With out given the value is built there, without a temporary; out must
-    not share memory with x or quote_post.
-    """
-    value = np.multiply(lam, m, out=out)
-    value = np.multiply(value, x, out=out)
-    value = np.subtract(quote_post, value, out=out)
-    return np.multiply(x, value, out=out)
+    finite-variation unwind."""
+    return x * (quote_post - lam * m * x)
 
 
 class _Leg(NamedTuple):
@@ -191,7 +184,7 @@ def cash_decomposed(
     dX * (S0_pre_k + M_k dX) on its instrument's impacted curve, from the
     same trades and quote displacement, and reports the maximum relative
     discrepancy between the two forms.  Each block of paths is worked
-    time-major in preallocated scratch and written into the report arrays.
+    time-major and written into the report arrays.
     """
     if lam is None:
         lam = bundle.params.lambda_impact
@@ -205,46 +198,37 @@ def cash_decomposed(
         swap_gains, swap_quad = np.empty(shape), np.empty(shape)
     else:
         swap_gains = swap_quad = np.broadcast_to(0.0, shape)
-    scratch = block_scratch(n_paths, n_nodes, 9 + 7 * bool(legs))
     peaks = []      # per block: max |y_dir| and max |y_dir - y_dec|
-    for block, (s_buf, m_buf, x_buf, dx_buf, cost_buf, liq_buf, dec_buf, term_buf, tmp_buf,
-                *leg_bufs) in scratch:
-        s, m, xb, dx, m_dx, shift = stock_flow(
-            bundle, x, lam, block, (s_buf, m_buf, x_buf, dx_buf, tmp_buf, term_buf))
-        cost = trade_cost(pre_trade_quote(s, shift, out=cost_buf), dx, m_dx)
-        liquidation = liquidation_value(xb, np.add(s, shift, out=term_buf), m, lam, out=liq_buf)
+    for block in path_blocks(n_paths):
+        s, m, xb, dx, m_dx, shift = stock_flow(bundle, x, lam, block)
+        cost = trade_cost(pre_trade_quote(s, shift), dx, m_dx)
+        liquidation = liquidation_value(xb, s + shift, m, lam)
 
-        # Each term is built in term_buf, written out and added in the order
-        # of the sum.  y0 + 0.0 turns a -0.0 into +0.0, which is all that
-        # adding the +0.0 swap columns of a stock-only strategy would change.
-        term = running_integral(xb[:-1], s, out=term_buf)
+        # Each term is written out and added in the order of the sum.
+        # y0 + 0.0 turns a -0.0 into +0.0, which is all that adding the
+        # +0.0 swap columns of a stock-only strategy would change.
+        term = running_integral(xb[:-1], s)
         gains[block] = term.T
-        decomposed = np.add(strategy.y0 + 0.0, term, out=dec_buf)
-        term = running_integral(np.square(xb[:-1], out=like(tmp_buf[:-1], xb)), m, out=term_buf)
+        decomposed = strategy.y0 + 0.0 + term
+        term = running_integral(np.square(xb[:-1]), m)
         term[1:] *= -lam
         impact_term[block] = term.T
         decomposed += term
-        term = np.multiply(m, np.square(dx, out=like(tmp_buf, dx)), out=term_buf)
-        running_sum(term)
+        term = running_sum(m * np.square(dx))
         term *= -(1.0 - lam)
         quad_cost[block] = term.T
         decomposed += term
         if legs:
-            leg_gains, leg_quad, leg_buf, pos_buf, dpos_buf, prices_buf, shift_buf = leg_bufs
-            leg_gains.fill(0.0)
-            leg_quad.fill(0.0)
+            leg_gains, leg_quad = np.zeros_like(s), np.zeros_like(s)
             for leg in legs:
-                pos = time_major(leg.pos, block, pos_buf)
-                dpos = trade_flow(pos, dpos_buf)
-                prices = time_major(leg.prices, block, prices_buf)
-                leg_shift = quote_shift(dpos, leg.lam, leg.m_slope, shift_buf)
-                leg_gains += running_integral(pos[:-1], prices, out=term_buf)
-                dpos_sq = running_sum(np.square(dpos, out=like(tmp_buf, dpos)))
-                leg_quad += np.multiply(-(1.0 - leg.lam) * leg.m_slope, dpos_sq, out=dpos_sq)
-                m_dpos = np.multiply(leg.m_slope, dpos, out=like(tmp_buf, dpos))
-                cost += trade_cost(pre_trade_quote(prices, leg_shift, out=leg_buf), dpos, m_dpos)
-                liquidation += liquidation_value(pos, np.add(prices, leg_shift, out=leg_buf),
-                                                 leg.m_slope, leg.lam, out=tmp_buf)
+                pos = time_major(leg.pos, block)
+                dpos = trade_flow(pos)
+                prices = time_major(leg.prices, block)
+                leg_shift = quote_shift(dpos, leg.lam, leg.m_slope)
+                leg_gains += running_integral(pos[:-1], prices)
+                leg_quad += -(1.0 - leg.lam) * leg.m_slope * running_sum(np.square(dpos))
+                cost += trade_cost(pre_trade_quote(prices, leg_shift), dpos, leg.m_slope * dpos)
+                liquidation += liquidation_value(pos, prices + leg_shift, leg.m_slope, leg.lam)
             swap_gains[block] = leg_gains.T
             swap_quad[block] = leg_quad.T
             decomposed += leg_gains
@@ -255,8 +239,9 @@ def cash_decomposed(
 
         direct = np.subtract(strategy.y0, running_sum(cost), out=cost)
         y_dir[block] = direct.T
-        peaks.append((np.abs(direct, out=term_buf).max(),
-                      np.abs(np.subtract(direct, decomposed, out=term_buf), out=term_buf).max()))
+        peaks.append((np.abs(direct).max(), np.abs(direct - decomposed).max()))
+        # freed before the next block allocates, which then reuses their memory
+        del s, m, xb, dx, m_dx, shift, cost, liquidation, term, decomposed, direct
 
     # numpy's max propagates a NaN from any block; Python's max(0.0, nan)
     # would return 0.0

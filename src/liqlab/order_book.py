@@ -9,11 +9,12 @@ quote includes it.
 
 Along a path the quote and the cash are running sums over time, which run
 fastest time-major.  So the path arrays are worked in blocks of paths
-(path_blocks): each block is copied transposed into preallocated
-(n_nodes, rows) scratch (block_scratch, time_major), the helpers below act
-down its rows, and the results are written back path-major.  stock_flow is
-the block prologue that impacted_quote_path and ledger.cash_decomposed
-share: S, M, positions, trades, depth-weighted trades and quote shift.
+(path_blocks): time_major copies a block's rows transposed, each helper
+below acts down the rows of the block arrays it is given and returns a new
+one (running_sum and trade_cost work in place), and the caller writes the
+results back path-major.  stock_flow is the block prologue that
+impacted_quote_path and ledger.cash_decomposed share: S, M, positions,
+trades, depth-weighted trades and quote shift.
 """
 
 from __future__ import annotations
@@ -87,37 +88,20 @@ def check_impact_fraction(lam) -> None:
 def path_blocks(n_paths: int) -> list[slice]:
     """The paths in blocks of n_paths // 16 rows, at least 64 and at most 1,024.
 
-    At 64 steps a (65, 1024) float block is 0.5 MB, so a ledger's block
-    buffers stay in cache where one whole (50000, 65) array is 26 MB.  At
-    n_paths // 16 rows the nine buffers of a stock-only ledger hold about
-    half a path array; the floor of 64 rows bounds the Python cost per path
-    at small n_paths.
+    At 64 steps a (65, 1024) float block is 0.5 MB, so the dozen or so
+    arrays a ledger builds for one block stay in cache where one whole
+    (50000, 65) array is 26 MB.  The floor of 64 rows bounds the Python
+    cost per path at small n_paths.
     """
     rows = min(1024, max(64, n_paths // 16))
     return [slice(p, min(p + rows, n_paths)) for p in range(0, n_paths, rows)]
 
 
-def block_scratch(n_paths: int, n_nodes: int, count: int):
-    """Yield each of path_blocks(n_paths) with count time-major (n_nodes, rows)
-    scratch arrays: contiguous views of buffers allocated once."""
-    blocks = path_blocks(n_paths)
-    flat = np.empty((count, n_nodes * (blocks[0].stop - blocks[0].start)))
-    for block in blocks:
-        size = n_nodes * (block.stop - block.start)
-        yield block, [buf[:size].reshape(n_nodes, -1) for buf in flat]
-
-
-def time_major(a, block: slice, out: np.ndarray) -> np.ndarray:
-    """a[block] transposed into out; a 1-d profile as its (n_nodes, 1) column."""
+def time_major(a, block: slice) -> np.ndarray:
+    """a[block] as a contiguous (n_nodes, rows) copy; a 1-d profile as its (n_nodes, 1) column."""
     if a.ndim == 1:
         return a[:, None]
-    np.copyto(out, a[block].T)
-    return out
-
-
-def like(buf: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The leading columns of buf, as many as a has: one for a profile's column."""
-    return buf[:, :a.shape[1]]
+    return np.ascontiguousarray(a[block].T)
 
 
 def running_sum(a: np.ndarray) -> np.ndarray:
@@ -130,34 +114,27 @@ def running_sum(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def trade_flow(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Trades dX down the rows of x, written into like(out, x); the node-0
-    trade jumps from flat."""
-    out = like(out, x)
-    np.subtract(x[:1], 0.0, out=out[:1])
-    np.subtract(x[1:], x[:-1], out=out[1:])
-    return out
+def trade_flow(x: np.ndarray) -> np.ndarray:
+    """Trades dX down the rows of x; the node-0 trade jumps from flat."""
+    return np.diff(x, axis=0, prepend=0.0)
 
 
-def quote_shift(trades, lam: float, slope: float, out: np.ndarray) -> np.ndarray:
+def quote_shift(trades, lam: float, slope: float) -> np.ndarray:
     """Quote displacement after each node's trade, down the rows of trades.
 
     2 lambda * sum_{i<=k} M_i dX_i from depth-weighted stock trades (slope
     1), or 2 lambda M * sum_{i<=k} dchi_i for a curve of constant slope M.
-    Written into like(out, trades), which may be trades itself.
     """
-    out = like(out, trades)
-    np.copyto(out, trades)
-    running_sum(out)
-    out *= 2.0 * lam * slope
-    return out
+    shift = running_sum(trades.copy())
+    shift *= 2.0 * lam * slope
+    return shift
 
 
-def pre_trade_quote(s, shift, out: np.ndarray) -> np.ndarray:
+def pre_trade_quote(s, shift) -> np.ndarray:
     """Quote seen by the node-k trade: s plus the displacement through node k - 1."""
-    np.copyto(out[:1], s[:1])
-    np.add(s[1:], shift[:-1], out=out[1:])
-    return out
+    pre = s.copy()
+    pre[1:] += shift[:-1]
+    return pre
 
 
 def trade_cost(pre, d, m_d) -> np.ndarray:
@@ -167,27 +144,25 @@ def trade_cost(pre, d, m_d) -> np.ndarray:
     return pre
 
 
-def running_integral(weight, path, out: np.ndarray) -> np.ndarray:
+def running_integral(weight, path) -> np.ndarray:
     """Left-point sums of weight * d(path) down the rows, 0 at node 0."""
-    out[0] = 0.0
-    steps = out[1:]
-    np.subtract(path[1:], path[:-1], out=steps)
+    integral = np.empty_like(path)
+    integral[0] = 0.0
+    steps = np.subtract(path[1:], path[:-1], out=integral[1:])
     steps *= weight
     running_sum(steps)
-    return out
+    return integral
 
 
-def stock_flow(bundle, x, lam: float, block: slice, bufs):
+def stock_flow(bundle, x, lam: float, block: slice):
     """A block's time-major S, M, positions, trades, depth-weighted trades
-    and quote shift, in that order, built in the six scratch arrays bufs.
-    The last two buffers may repeat M's, each written over it in place."""
-    s_buf, m_buf, x_buf, dx_buf, m_dx_buf, shift_buf = bufs
-    s = time_major(bundle.s, block, s_buf)
-    m = time_major(bundle.m, block, m_buf)
-    x = time_major(x, block, x_buf)
-    dx = trade_flow(x, dx_buf)
-    m_dx = np.multiply(m, dx, out=m_dx_buf)
-    return s, m, x, dx, m_dx, quote_shift(m_dx, lam, 1.0, out=shift_buf)
+    and quote shift, in that order."""
+    s = time_major(bundle.s, block)
+    m = time_major(bundle.m, block)
+    x = time_major(x, block)
+    dx = trade_flow(x)
+    m_dx = m * dx
+    return s, m, x, dx, m_dx, quote_shift(m_dx, lam, 1.0)
 
 
 def impacted_quote_path(bundle, x, lam: float) -> ImpactedQuotePath:
@@ -204,9 +179,8 @@ def impacted_quote_path(bundle, x, lam: float) -> ImpactedQuotePath:
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
     x = positions(x, n_paths, n_nodes)
     s0_pre, s0_post = np.empty((n_paths, n_nodes)), np.empty((n_paths, n_nodes))
-    for block, (s_buf, m_buf, x_buf, dx_buf) in block_scratch(n_paths, n_nodes, 4):
-        s, *_, shift = stock_flow(bundle, x, lam, block,
-                                  (s_buf, m_buf, x_buf, dx_buf, m_buf, m_buf))
-        s0_pre[block] = pre_trade_quote(s, shift, out=x_buf).T
-        s0_post[block] = np.add(s, shift, out=s_buf).T
+    for block in path_blocks(n_paths):
+        s, *_, shift = stock_flow(bundle, x, lam, block)
+        s0_pre[block] = pre_trade_quote(s, shift).T
+        s0_post[block] = (s + shift).T
     return ImpactedQuotePath(s0_pre=s0_pre, s0_post=s0_post)

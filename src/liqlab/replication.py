@@ -136,13 +136,18 @@ class ReplicationReport:
                    "diff_mean": self.diff_means, "diff_stderr": self.diff_stderrs,
                    "delta_l2": self.delta_l2, "impact_err": self.impact_errs,
                    "impact_stderr": self.impact_stderrs}
+        # a slope through fewer than two positive points is undefined: null
+        summary = {key: None if key.endswith("_slope") and np.isnan(value) else value
+                   for key, value in self.summary().items()}
         payload = {
-            "summary": self.summary(),
+            "summary": summary,
             "rows": [{name: float(col[i]) for name, col in columns.items()}
                      for i in range(len(self.xs))],
         }
+        # built whole before writing, so a non-finite value leaves no file
+        text = json.dumps(payload, indent=2, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(text)
 
 
 def _loglog_slope(xs, ys) -> float:

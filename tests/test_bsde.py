@@ -93,6 +93,21 @@ class TestStoppingIndex:
         with pytest.raises(InvalidParams):
             stopping_index(bundle, 1.0)
 
+    def test_nan_threshold_rejected(self, default_config):
+        bundle = simulate_paths(default_config.model_params(),
+                                default_config.time_grid(), 4, seed=2)
+        with pytest.raises(InvalidParams):
+            stopping_index(bundle, float("nan"))
+
+
+class TestBsdeConfig:
+    @pytest.mark.parametrize("field", ["l_trunc", "n_trunc", "picard_tol"])
+    def test_nan_rejected(self, field):
+        # with a NaN l_trunc no path stops; with a NaN picard_tol every
+        # Picard iteration runs
+        with pytest.raises(InvalidParams):
+            BsdeConfig(**{"l_trunc": 50.0, "n_trunc": 400.0, field: float("nan")})
+
 
 class TestTerminalCondition:
     def test_zero_lambda_uses_raw_terminal(self, default_config):

@@ -133,6 +133,7 @@ class TestValidation:
         ("ledger", ["strategy.kind=random", "strategy.n_knots=-1"]),
         ("bsde", ["bsde.ridge=0"]),
         ("replicate", ["bsde.picard_iters=0"]),
+        ("bsde", ["bsde.picard_tol=-1"]),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)
@@ -244,6 +245,24 @@ class TestCli:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["rows"]) == 2
+
+    @pytest.mark.parametrize("override", ["payoff.kind=constant",
+                                          "payoff.strike=450",   # constant after truncation
+                                          "payoff.strike=300",   # flat on every terminal
+                                          "run.n_x=1"])
+    def test_replicate_undefined_slopes_written_null(self, override, tmp_path):
+        # fewer than two positive points leave both log-log slopes undefined
+        out = tmp_path / "rep"
+        code = run_cli(["replicate", "--out", str(out), "--seed", "909",
+                        "--set", "run.n_paths=400", "--set", override])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["summary"]["h0_slope"] is None
+        assert report["summary"]["impact_slope"] is None
 
     def test_byte_identical_reruns_across_threads(self, tmp_path):
         outs = []

@@ -199,6 +199,26 @@ class TestLedgerMemory:
         report_bytes = sum(getattr(report, name).nbytes for name in REPORT_ARRAYS)
         assert peak <= 1.3 * report_bytes
 
+    def test_block_temporaries_at_20k_paths(self, default_config):
+        """At 20,000 paths x 64 steps path_blocks gives 20 blocks of at most
+        1,024 rows.  One (65, 1,024) block array is 0.53 MB, one whole
+        (20,000, 65) array 10.4 MB.  impacted_quote_path returns two whole
+        arrays, so a single whole-array temporary would add 0.5 to the ratio
+        of its peak to them, and the bound 1.5 leaves room for about 19 block
+        arrays.  A stock-only ledger returns six whole arrays (its swap
+        columns are zero views), so one whole-array temporary would add
+        1/6 = 0.17, and the bound 1.25 leaves room for about 29 block arrays.
+        """
+        bundle = simulate_paths(default_config.model_params(), default_config.time_grid(),
+                                20_000, seed=21)
+        assert len(path_blocks(bundle.n_paths)) == 20
+        x = np.random.default_rng(5).normal(0, 2, size=(bundle.n_paths, bundle.n_nodes))
+        quotes, peak = traced_peak(lambda: impacted_quote_path(bundle, x, 0.5))
+        assert peak <= 1.5 * (quotes.s0_pre.nbytes + quotes.s0_post.nbytes)
+        report, peak = traced_peak(lambda: cash_decomposed(Strategy(x=x), bundle))
+        kept = ("y_direct", "y_decomposed", "gains", "impact_term", "quad_cost", "liq_value")
+        assert peak <= 1.25 * sum(getattr(report, name).nbytes for name in kept)
+
     def test_harness_holds_one_report_at_a_time(self, default_config, monkeypatch):
         cfg = override(default_config, grid__n_steps=64)
         grid = cfg.time_grid()

@@ -12,12 +12,21 @@
   max(1, |position|).
 * Noise prefix stability: the first m paths of a draw of n are, bit for
   bit, the draw of m, for drawn seeds of one or more 32-bit words.
+* The exit-code contract: cli.main runs each experiment on drawn
+  configurations and sizes and exits 0, 2 or 3; exit 2 leaves no output
+  directory, exit 3 writes diagnostics.json, and exit 0 writes no
+  non-finite number into any CSV or JSON file.  tests/exit_code_counts.py
+  counts the exit codes over the same draws.
 """
 
+import re
 import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liqlab import (
@@ -34,7 +43,8 @@ from liqlab import (
     swap_price_paths,
     zeta_coeff,
 )
-from liqlab.config import _CHOICES, SCHEMA, ScenarioConfig, parse_config_text
+from liqlab.cli import main
+from liqlab.config import _CHOICES, EXPERIMENTS, SCHEMA, ScenarioConfig, parse_config_text
 
 from conftest import override
 from test_ledger_reference import REPORT_ARRAYS, reference_cash_decomposed, same_bits
@@ -110,3 +120,53 @@ def test_noise_prefix_stable(seed, n_steps, sizes):
     grid, decomp = TimeGrid(horizon=1.0, n_steps=n_steps), decompose_correlation(np.eye(3))
     big = draw_noise(grid, decomp, n, seed).db
     assert big[:m].tobytes() == draw_noise(grid, decomp, m, seed).db.tobytes()
+
+
+# Valid configurations over wide ranges of the model parameters, with each
+# payoff, at small sizes, as `section.key` overrides.  alpha = gamma, which
+# every experiment that hedges with swaps rejects, is not drawn.
+exponent, scale, variance, rho = (st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.1, 2.0),
+                                  st.floats(0.005, 0.2), st.floats(-0.5, 0.5))
+cli_overrides = st.fixed_dictionaries({
+    "model.gamma": st.floats(-1.0, 2.0), "model.alpha": st.floats(-1.0, 2.0),
+    "model.eta": st.floats(0.0, 1.0), "model.a": st.floats(0.0, 1.0),
+    "model.epsilon": st.sampled_from([0.0, 1e-3, 1e-2, 0.1]), "model.lambda_impact": unit,
+    "model.phi_exponent": exponent, "model.phi_scale": scale,
+    "model.theta_exponent": exponent, "model.theta_scale": scale,
+    "model.s0": st.floats(50.0, 150.0), "model.u0": variance, "model.v0": variance,
+    "model.rho12": rho, "model.rho13": rho, "model.rho23": rho,
+    "payoff.kind": st.sampled_from(sorted(_CHOICES[("payoff", "kind")])),
+    "run.n_paths": st.integers(50, 200), "grid.n_steps": st.integers(2, 8),
+    "run.seed": st.integers(0, 10**6),
+}).filter(lambda o: o["model.alpha"] != o["model.gamma"])
+
+
+def run_cli(experiment: str, overrides: dict, out: Path) -> int:
+    """cli.main for one experiment under the overrides, writing into out."""
+    args = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+    return main([experiment, "--out", str(out), *args])
+
+
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+# Nearly every drawn replicate run exits 3 (a degenerate loading matrix
+# within a few nodes), so each experiment also runs the default scenario at
+# 16 steps with a constant payoff, whose replicate report has both log-log
+# slopes undefined.
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@settings(max_examples=20)
+@example(overrides={"payoff.kind": "constant", "run.n_paths": 200, "grid.n_steps": 16})
+@given(overrides=cli_overrides)
+def test_exit_code_contract(experiment, overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = run_cli(experiment, overrides, out)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
+        elif code == 3:
+            assert (out / "diagnostics.json").exists()
+        else:
+            for path in [*out.glob("*.csv"), *out.glob("*.json")]:
+                assert not NON_FINITE.search(path.read_text()), path.name
