@@ -80,7 +80,7 @@ class Strategy:
     def swap(self, leg: int, n_paths: int, n_nodes: int) -> np.ndarray:
         pos = self.chi1 if leg == 1 else self.chi2
         if pos is None:
-            return np.zeros((n_paths, n_nodes))
+            return np.broadcast_to(0.0, (n_paths, n_nodes))
         return positions_2d(pos, n_paths, n_nodes)
 
     def has_swaps(self) -> bool:

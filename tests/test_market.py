@@ -243,3 +243,11 @@ def test_csv_export(tmp_path, default_config):
     # 17-significant-digit round trip
     first = lines[1].split(",")
     assert float(first[3]) == bundle.s[0, 0]
+    # every row reads back to the bundle's bits, path-major
+    cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    columns = cells.reshape(3, 5, 9).transpose(2, 0, 1)
+    npt.assert_array_equal(columns[0], np.arange(3)[:, None] + np.zeros(5))
+    npt.assert_array_equal(columns[1], np.arange(5) + np.zeros((3, 1)))
+    assert columns[2].tobytes() == np.broadcast_to(bundle.grid.times(), (3, 5)).tobytes()
+    for name, col in zip(["s", "u", "v", "sigma", "m", "rv"], columns[3:]):
+        assert col.tobytes() == getattr(bundle, name).tobytes(), name
