@@ -136,10 +136,8 @@ def _cmd_bsde(cfg: ScenarioConfig, out_dir: Path) -> None:
 
 
 def _cmd_replicate(cfg: ScenarioConfig, out_dir: Path) -> None:
-    x0 = cfg.get("run", "x0")
-    xs = [x0 * 0.5 ** i for i in range(cfg.get("run", "n_x"))]
     report = replication_cost_curve(
-        cfg.model_params(), cfg.time_grid(), cfg.payoff(), xs,
+        cfg.model_params(), cfg.time_grid(), cfg.payoff(), cfg.unit_counts(),
         cfg.get("run", "n_paths"), cfg.get("run", "seed"), cfg.bsde_config(),
     )
     report.to_csv(out_dir / "report.csv")

@@ -20,6 +20,7 @@ from .ledger import SwapLiquidity
 from .market import GammaMap, ModelParams, VolCoeff
 from .noise import TimeGrid, decompose_correlation
 from .payoffs import Payoff, call_ramp, constant_payoff, identity_payoff
+from .replication import check_unit_counts
 from .swaps import SwapSpec
 
 # (section, key) -> (type, default)
@@ -154,6 +155,11 @@ class ScenarioConfig:
             return identity_payoff()
         return constant_payoff(self.get("payoff", "value"))
 
+    def unit_counts(self) -> list[float]:
+        """run.x0 halved run.n_x - 1 times: the unit counts `replicate` runs."""
+        x0 = self.get("run", "x0")
+        return [x0 * 0.5 ** i for i in range(self.get("run", "n_x"))]
+
     def swap_specs(self) -> tuple[SwapSpec, SwapSpec]:
         return (SwapSpec(self.get("grid", "t1"), self.get("swaps", "k1")),
                 SwapSpec(self.get("grid", "t2"), self.get("swaps", "k2")))
@@ -181,10 +187,6 @@ class ScenarioConfig:
                 raise ValidationError(f"{section}.{key} must be finite, got {val!r}")
         if self.get("run", "n_paths") < 1:
             raise ValidationError("run.n_paths must be at least 1")
-        if self.get("run", "n_x") < 1:
-            raise ValidationError("run.n_x must be at least 1")
-        if self.get("run", "x0") == 0.0:
-            raise ValidationError("run.x0 must be nonzero")
         if self.get("run", "seed") < 0:
             raise ValidationError("run.seed must be nonnegative")
         if self.get("strategy", "n_knots") < 0:
@@ -198,6 +200,7 @@ class ScenarioConfig:
             self.swap_liquidity()
             self.bsde_config()
             self.payoff()
+            check_unit_counts(self.unit_counts())
         except ValidationFailure as exc:
             raise ValidationError(str(exc)) from exc
         if experiment == "arbitrage-test" and not params.submartingale_ok:

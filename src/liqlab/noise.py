@@ -25,13 +25,7 @@ import numpy as np
 # numpy.random's module state would land above the noise array and pin the
 # freed heap.
 from numpy.random import PCG64, Generator, default_rng
-
-# numpy checks its caller with backtrace() on the first arithmetic on a
-# large temporary, and backtrace() loads libgcc_s.  Doing that here, before
-# any path array exists, keeps the loader's long-lived blocks below the
-# arrays, where they cannot pin freed heap.
-_ = -np.empty(1 << 15)      # 256 KiB: numpy's smallest elidable temporary
-del _
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NotPositiveDefinite, NotSymmetric, InvalidParams, ZeroPaths
 
@@ -41,19 +35,14 @@ _PIVOT_TOL = 1e-12
 # exchange matrix: conjugation turns a lower Cholesky factor into an upper one
 _EXCH = np.eye(3)[::-1]
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 # paths hashed per block: bounds the hash arrays at any n_paths
 _SEED_BLOCK = 65_536
-# paths whose state words are Python ints at once
-_INT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -97,10 +86,10 @@ class TimeGrid:
     t2: float | None = None
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise InvalidParams("horizon must be positive")
         if self.n_steps < 1:
             raise InvalidParams("n_steps must be at least 1")
+        if not self.dt > 0:
+            raise InvalidParams("horizon / n_steps must be positive")
         for name, ti in (("t1", self.t1), ("t2", self.t2)):
             if ti is not None and ti <= self.horizon:
                 raise InvalidParams(f"swap maturity {name} must exceed the horizon")
@@ -186,9 +175,10 @@ def draw_noise(
 
     Path i draws from the stream of default_rng((seed, i)), so runs are
     reproducible and each path's noise is stable as n_paths changes.  The
-    streams are seeded in bulk (_pcg_seeds) and drawn through one PCG64 and
-    Generator pair; a check against default_rng on the last path makes a
-    change to numpy's seeding fail loudly instead of moving every stream.
+    SeedSequence words are hashed in bulk (_pcg_seeds) and numpy seeds one
+    PCG64 per path from them; a check against default_rng on the last path
+    makes a change to numpy's seeding fail loudly instead of moving every
+    stream.
     """
     if n_paths == 0:
         raise ZeroPaths("n_paths must be at least 1")
@@ -198,13 +188,8 @@ def draw_noise(
         raise InvalidParams("seed must be nonnegative")
     sqrt_dt = np.sqrt(grid.dt)
     db = np.empty((n_paths, grid.n_steps, 3))
-    bit_gen = PCG64(0)
-    gen = Generator(bit_gen)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for i, (pcg_state, inc) in enumerate(_pcg_seeds(seed, n_paths)):
-        state["state"] = {"state": pcg_state, "inc": inc}
-        bit_gen.state = state
-        gen.standard_normal(out=db[i])
+    for i, words in enumerate(_pcg_seeds(seed, n_paths)):
+        Generator(PCG64(_SeedWords(words))).standard_normal(out=db[i])
     last = default_rng((seed, n_paths - 1)).standard_normal((grid.n_steps, 3))
     if last.tobytes() != db[-1].tobytes():
         raise RuntimeError("bulk seeding no longer reproduces numpy's "
@@ -213,15 +198,23 @@ def draw_noise(
     return NoiseBlock(db=db, tri_inv=decomp.tri_inv)
 
 
-def _pcg_seeds(seed: int, n_paths: int):
-    """Yield the seeded PCG64 (state, inc) of default_rng((seed, i)), i < n_paths.
+class _SeedWords(ISeedSequence):
+    """Seed words already generated, handed to PCG64 as its seed sequence."""
 
-    SeedSequence((seed, i)) hashes the 32-bit words of seed and of i into a
-    pool of four words and expands the pool into a 128-bit initstate and
-    initseq; PCG64 then sets inc = 2 initseq + 1 and state = (inc +
-    initstate) MULT + inc mod 2^128.  The hash is uint32 arithmetic on
-    whole blocks of paths; only the last step is done per path, on Python
-    ints made a few hundred paths at a time.
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _pcg_seeds(seed: int, n_paths: int):
+    """Yield SeedSequence((seed, i)).generate_state(4, uint64), i < n_paths.
+
+    SeedSequence hashes the 32-bit words of seed and of i into a pool of
+    four words and expands the pool into eight output words.  The hash is
+    uint32 arithmetic on whole blocks of paths.  Each yielded row is
+    contiguous, as PCG64 reads the four words from the array's buffer.
     """
     seed_words = [seed & _M32]
     while seed := seed >> 32:
@@ -241,16 +234,12 @@ def _pcg_seeds(seed: int, n_paths: int):
                 for dst in range(_POOL_SIZE):
                     pool[dst] = _mix(pool[dst], hashmix(word))
             expand = _hashmix(_INIT_B, _MULT_B)
-            words = [expand(pool[j % _POOL_SIZE]).astype(np.uint64) for j in range(8)]
+            words = [expand(pool[j % _POOL_SIZE]) for j in range(8)]
         del pool, entropy
-        # generate_state(4, uint64) pairs the words little-endian
-        halves = [words[j] | words[j + 1] << np.uint64(32) for j in range(0, 8, 2)]
+        # generate_state(4, uint64) reads the eight words as little-endian pairs
+        state = np.stack(words, axis=1).astype("<u4", copy=False).view("<u8")
         del words
-        for chunk in range(0, len(paths), _INT_CHUNK):
-            ints = [half[chunk:chunk + _INT_CHUNK].tolist() for half in halves]
-            for s_hi, s_lo, q_hi, q_lo in zip(*ints):
-                inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-                yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
+        yield from state.astype(np.uint64, copy=False)
 
 
 def _hashmix(hash_const: int, mult: int):

@@ -134,6 +134,9 @@ class TestValidation:
         ("bsde", ["bsde.ridge=0"]),
         ("replicate", ["bsde.picard_iters=0"]),
         ("bsde", ["bsde.picard_tol=-1"]),
+        ("replicate", ["run.x0=5e-324", "run.n_x=2"]),
+        ("replicate", ["run.n_x=1100"]),
+        ("replicate", ["grid.horizon=5e-324"]),
     ])
     def test_rejected_before_any_output(self, experiment, overrides, tmp_path):
         cfg = apply_overrides(ScenarioConfig(), overrides)

@@ -144,8 +144,8 @@ class TestDrawNoise:
 
     def test_peak_is_the_two_arrays(self):
         # dw is not stored, and the bulk seeding keeps no per-path array: at
-        # the peak, db is live next to one seeding block's state words and a
-        # few hundred paths' state integers, about 0.07 x db at 64 steps
+        # the peak, db is live next to one seeding block's hash and seed
+        # words, about 0.05 x db at 64 steps
         grid = TimeGrid(horizon=1.0, n_steps=64)
         d = decompose_correlation(corr(rho12=0.3))
         block, peak = traced_peak(lambda: draw_noise(grid, d, 2000, seed=909))
@@ -191,7 +191,7 @@ class TestStreamContract:
             assert block.db[i].tobytes() == _stream(seed, i, 4, grid.dt).tobytes()
 
     def test_seeding_drift_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(noise, "_PCG_MULT", noise._PCG_MULT + 2)
+        monkeypatch.setattr(noise, "_MIX_L", noise._MIX_L + 2)
         grid = TimeGrid(horizon=1.0, n_steps=2)
         with pytest.raises(RuntimeError, match="default_rng"):
             draw_noise(grid, decompose_correlation(np.eye(3)), 3, seed=1)

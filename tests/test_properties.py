@@ -12,6 +12,12 @@
   max(1, |position|).
 * Noise prefix stability: the first m paths of a draw of n are, bit for
   bit, the draw of m, for drawn seeds of one or more 32-bit words.
+* The ridge fit keeps the sample mean of its target, within a measured
+  rounding bound, for drawn states (constant columns included), degrees,
+  ridges and targets.
+* The comparison principle: where the depth drift is >= 0, every column of
+  solve_and_hedge has xi >= its terminal values exactly, and y0 is the mean
+  of xi, hence at least the terminal mean, up to a derived rounding bound.
 * The exit-code contract: cli.main runs each experiment on drawn
   configurations and sizes and exits 0, 2 or 3; exit 2 leaves no output
   directory, exit 3 writes diagnostics.json, and exit 0 writes no
@@ -26,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from liqlab import (
     Strategy,
@@ -43,8 +50,11 @@ from liqlab import (
     swap_price_paths,
     zeta_coeff,
 )
+from liqlab.bsde import _RidgeSolver, _design, _n_features, solve_and_hedge, terminal_condition
 from liqlab.cli import main
 from liqlab.config import _CHOICES, EXPERIMENTS, SCHEMA, ScenarioConfig, parse_config_text
+from liqlab.errors import PicardDiverged
+from liqlab.payoffs import truncate_payoff
 
 from conftest import override
 from test_ledger_reference import REPORT_ARRAYS, reference_cash_decomposed, same_bits
@@ -120,6 +130,82 @@ def test_noise_prefix_stable(seed, n_steps, sizes):
     grid, decomp = TimeGrid(horizon=1.0, n_steps=n_steps), decompose_correlation(np.eye(3))
     big = draw_noise(grid, decomp, n, seed).db
     assert big[:m].tobytes() == draw_noise(grid, decomp, m, seed).db.tobytes()
+
+
+# The ridge fit's intercept is unpenalized, so the row-0 normal equation
+# makes the fitted values' sum the target's.  In floating point that row
+# holds up to its rounding: eps times the column sums times |beta|, and on
+# collinear columns |beta| grows like sqrt(cond), the Gram matrix's
+# condition number.  Over 6,435 random draws of the strategy below (cond up
+# to 3e11) the error stayed within 0.87 of (10 + 0.008 sqrt(cond)) eps
+# max|target|; the bound takes 4x that envelope.
+def ridge_mean_tol(cond, scale):
+    """Bound on |mean(fit) - mean(target)| of one ridge fit; scale is max|target|."""
+    return 4.0 * (10.0 + 0.008 * np.sqrt(cond)) * np.finfo(float).eps * scale
+
+
+@st.composite
+def regression_states(draw):
+    """(s, u, v, degree, ridge, target) for one fit; any of s, u, v may be constant."""
+    degree = draw(st.integers(1, 4))
+    n = draw(st.integers(_n_features(degree), 300))
+
+    def column(value):
+        return draw(st.one_of(value.map(lambda c: np.full(n, c)),
+                              arrays(np.float64, n, elements=value)))
+
+    s, u, v = column(st.floats(1.0, 1000.0)), column(unit), column(unit)
+    ridge = draw(st.one_of(st.just(1e-8), st.floats(1e-10, 1e-2)))
+    # targets far from underflow, where the fit's rounding is relative
+    target = column(st.floats(-1e3, 1e3).filter(lambda t: t == 0.0 or abs(t) >= 1e-100))
+    return s, u, v, degree, ridge, target
+
+
+@given(regression_states())
+def test_ridge_fit_preserves_the_mean(states):
+    s, u, v, degree, ridge, target = states
+    solver = _RidgeSolver(_design(s, u, v, degree), ridge)
+    fit = solver.fit(target)
+    assert abs(fit.mean() - target.mean()) <= ridge_mean_tol(solver.cond, np.abs(target).max())
+
+
+# With the identity depth map, gamma >= 0 and eta >= 0, the depth drift
+# mu = epsilon gamma (U + eta) is >= 0 (U >= 0 by truncation), so each
+# step adds lambda Lambda Z1^2 dt >= 0 to xi, and adding a nonnegative float
+# never lowers a value: xi >= the terminal values exactly.  y0 is the mean
+# of the node-0 fits, and each step's value fit keeps the sum of its target
+# (the value above plus the same driver term) up to ridge_mean_tol, so y0 is
+# xi's mean up to the sum of those bounds, weighted by the alive share.
+# Each target is at most max|Y| plus the largest driver sum xi - values;
+# the last term covers the rounding of the driver additions and the means.
+@given(gamma=st.floats(0.0, 2.0), eta=st.floats(0.0, 1.0), lam=unit,
+       epsilon=st.sampled_from([1e-3, 1e-2, 0.1]),
+       kind=st.sampled_from(sorted(_CHOICES[("payoff", "kind")])),
+       xs=st.lists(st.floats(1.0, 200.0) | st.floats(-200.0, -1.0), min_size=1, max_size=3,
+                   unique=True),
+       n_paths=st.integers(50, 200), n_steps=st.integers(2, 8), seed=st.integers(0, 10**6))
+def test_comparison_principle(gamma, eta, lam, epsilon, kind, xs, n_paths, n_steps, seed):
+    cfg = override(ScenarioConfig(), model__gamma=gamma, model__eta=eta, model__epsilon=epsilon,
+                   model__lambda_impact=lam, payoff__kind=kind, grid__n_steps=n_steps)
+    bundle = simulate_paths(cfg.model_params(), cfg.time_grid(), n_paths, seed)
+    config = cfg.bsde_config()
+    trunc = truncate_payoff(cfg.payoff(), config.n_trunc)
+    # any hedge path gives valid terminal values; the principle takes them as given
+    no_hedge = np.zeros((n_paths, bundle.n_nodes))
+    terminals = [terminal_condition(bundle, trunc, x, lam, no_hedge) for x in xs]
+    eps = np.finfo(float).eps
+    try:
+        runs = solve_and_hedge(bundle, terminals, config)
+    except PicardDiverged:
+        reject()    # the principle is about the values a pass returns
+    for terminal, sol in zip(terminals, runs):
+        assert (sol.xi >= terminal.values).all()
+        diag = sol.diagnostics
+        scale = diag.max_abs_y + (sol.xi - terminal.values).max()
+        bound = (ridge_mean_tol(diag.cond_numbers, scale) * diag.alive_counts).sum() / n_paths \
+            + (2 * n_steps + 16) * eps * (scale + np.abs(sol.xi).max())
+        assert abs(sol.y0 - sol.xi.mean()) <= bound
+        assert sol.y0 >= terminal.values.mean() - bound
 
 
 # Valid configurations over wide ranges of the model parameters, with each
