@@ -200,7 +200,12 @@ class ScenarioConfig:
             self.swap_liquidity()
             self.bsde_config()
             self.payoff()
-            check_unit_counts(self.unit_counts())
+            # halving never grows a count, so one that underflows to 0 shows
+            # at the last: check it before building all n_x (a nonzero last
+            # count means n_x <= 1,075)
+            n_x = self.get("run", "n_x")
+            last = self.get("run", "x0") * 0.5 ** (n_x - 1) if n_x >= 1 else None
+            check_unit_counts([last] if last == 0.0 else self.unit_counts())
         except ValidationFailure as exc:
             raise ValidationError(str(exc)) from exc
         if experiment == "arbitrage-test" and not params.submartingale_ok:

@@ -28,9 +28,12 @@ np.cumsum along time in its order, so every report bit is the same at any
 block size.  A 1-d position profile is differenced as one (n_nodes, 1)
 column and broadcast.
 
-arbitrage_harness takes each strategy's terminal gain from the last report
-columns, in the order of LedgerReport.gain_paths, and drops the report
-before it builds the next, so one report is alive at a time.
+With terminal_only the same blocks write only their last node, into
+(n_paths, 1) report arrays (order_book.report_rows), while the discrepancy
+still takes its peaks over every node.  arbitrage_harness builds such a
+report for each strategy, reads its terminal gain in the order of
+LedgerReport.gain_paths, and drops it before it builds the next, so one
+report is alive at a time.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .order_book import (
     positions_2d,
     pre_trade_quote,
     quote_shift,
+    report_rows,
     running_integral,
     running_sum,
     stock_flow,
@@ -111,9 +115,10 @@ class SwapLiquidity:
 class LedgerReport:
     """Per-path cash in both forms together with the decomposed attribution.
 
-    All arrays are (n_paths, n_nodes); term columns are cumulative.  For a
-    strategy without swaps, swap_gains and swap_quad are read-only
-    broadcast views of 0.0 that hold no memory.
+    All arrays are (n_paths, n_nodes); term columns are cumulative.  Built
+    with terminal_only they are (n_paths, 1) and hold the last node only;
+    the discrepancy is the same.  For a strategy without swaps, swap_gains
+    and swap_quad are read-only broadcast views of 0.0 that hold no memory.
     """
 
     y_direct: np.ndarray
@@ -177,6 +182,7 @@ def cash_decomposed(
     lam: float | None = None,
     swaps: SwapLiquidity | None = None,
     swap_prices=None,
+    terminal_only: bool = False,
 ) -> LedgerReport:
     """Cash path reconstructed from the gains/impact/quadratic attribution.
 
@@ -184,13 +190,14 @@ def cash_decomposed(
     dX * (S0_pre_k + M_k dX) on its instrument's impacted curve, from the
     same trades and quote displacement, and reports the maximum relative
     discrepancy between the two forms.  Each block of paths is worked
-    time-major and written into the report arrays.
+    time-major and written into the report arrays: every node, or with
+    terminal_only the last node alone (order_book.report_rows).
     """
     if lam is None:
         lam = bundle.params.lambda_impact
     check_impact_fraction(lam)
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
-    shape = (n_paths, n_nodes)
+    shape, keep = report_rows(n_paths, n_nodes, terminal_only)
     x = positions(strategy.x, n_paths, n_nodes)
     legs = _swap_legs(strategy, bundle, swaps, swap_prices)
     y_dir, y_dec, gains, impact_term, quad_cost, liq = (np.empty(shape) for _ in range(6))
@@ -208,15 +215,15 @@ def cash_decomposed(
         # y0 + 0.0 turns a -0.0 into +0.0, which is all that adding the
         # +0.0 swap columns of a stock-only strategy would change.
         term = running_integral(xb[:-1], s)
-        gains[block] = term.T
+        gains[block] = term[keep].T
         decomposed = strategy.y0 + 0.0 + term
         term = running_integral(np.square(xb[:-1]), m)
         term[1:] *= -lam
-        impact_term[block] = term.T
+        impact_term[block] = term[keep].T
         decomposed += term
         term = running_sum(m * np.square(dx))
         term *= -(1.0 - lam)
-        quad_cost[block] = term.T
+        quad_cost[block] = term[keep].T
         decomposed += term
         if legs:
             leg_gains, leg_quad = np.zeros_like(s), np.zeros_like(s)
@@ -229,16 +236,16 @@ def cash_decomposed(
                 leg_quad += -(1.0 - leg.lam) * leg.m_slope * running_sum(np.square(dpos))
                 cost += trade_cost(pre_trade_quote(prices, leg_shift), dpos, leg.m_slope * dpos)
                 liquidation += liquidation_value(pos, prices + leg_shift, leg.m_slope, leg.lam)
-            swap_gains[block] = leg_gains.T
-            swap_quad[block] = leg_quad.T
+            swap_gains[block] = leg_gains[keep].T
+            swap_quad[block] = leg_quad[keep].T
             decomposed += leg_gains
             decomposed += leg_quad
         decomposed -= liquidation
-        liq[block] = liquidation.T
-        y_dec[block] = decomposed.T
+        liq[block] = liquidation[keep].T
+        y_dec[block] = decomposed[keep].T
 
         direct = np.subtract(strategy.y0, running_sum(cost), out=cost)
-        y_dir[block] = direct.T
+        y_dir[block] = direct[keep].T
         peaks.append((np.abs(direct).max(), np.abs(direct - decomposed).max()))
         # freed before the next block allocates, which then reuses their memory
         del s, m, xb, dx, m_dx, shift, cost, liquidation, term, decomposed, direct
@@ -311,11 +318,12 @@ def arbitrage_harness(
 
 
 def _terminal_gain(entry, bundle: PathBundle, i: int) -> np.ndarray:
-    """Terminal decomposed gain of one family entry; its ledger report dies on return."""
+    """Terminal decomposed gain of one family entry from a terminal-only
+    ledger report, which dies on return."""
     strategy = entry(bundle) if callable(entry) else entry
     if not strategy.is_closed(bundle.n_paths, bundle.n_nodes):
         raise InvalidParams(f"harness strategy {i} is not closed")
-    return cash_decomposed(strategy, bundle).terminal_gain()
+    return cash_decomposed(strategy, bundle, terminal_only=True).terminal_gain()
 
 
 def round_trip_family(grid: TimeGrid, n_strategies: int, base_size: float, seed: int):
@@ -342,8 +350,10 @@ def round_trip_family(grid: TimeGrid, n_strategies: int, base_size: float, seed:
 def _trend_follower(size: float):
     def build(bundle) -> Strategy:
         x = np.zeros((bundle.n_paths, bundle.n_nodes))
-        up = np.diff(bundle.s, axis=1) > 0
-        x[:, 1:-1] = size * np.where(up[:, :-1], 1.0, -1.0)
+        s = bundle.s
+        # long after a rise, short otherwise
+        x[:, 1:-1] = -size
+        np.copyto(x[:, 1:-1], size, where=s[:, 1:-1] > s[:, :-2])
         return Strategy(x=x)
 
     build.label = "trend_follower"
@@ -354,7 +364,7 @@ def _vol_dodger(size: float):
     def build(bundle) -> Strategy:
         x = np.zeros((bundle.n_paths, bundle.n_nodes))
         calm = bundle.sigma[:, :-2] < np.median(bundle.sigma[:, 0])
-        x[:, 1:-1] = size * calm
+        np.multiply(calm, size, out=x[:, 1:-1])
         return Strategy(x=x)
 
     build.label = "vol_dodger"
@@ -364,6 +374,8 @@ def _vol_dodger(size: float):
 def export_ledger_csv(bundle, strategy: Strategy, report: LedgerReport, path) -> None:
     """Write (path, step, t, X, chi1, chi2, Y, gains, impact_term, quad_cost, liq_value)."""
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
+    if report.y_direct.shape != (n_paths, n_nodes):
+        raise GridMismatch("ledger report does not cover every node of the bundle grid")
     write_table(path, ["path", "step", "t", "X", "chi1", "chi2", "Y",
                        "gains", "impact_term", "quad_cost", "liq_value"],
                 [*grid_index(n_paths, bundle.grid.times()), strategy.stock(n_paths, n_nodes),

@@ -14,7 +14,10 @@ below acts down the rows of the block arrays it is given and returns a new
 one (running_sum and trade_cost work in place), and the caller writes the
 results back path-major.  stock_flow is the block prologue that
 impacted_quote_path and ledger.cash_decomposed share: S, M, positions,
-trades, depth-weighted trades and quote shift.
+trades, depth-weighted trades and quote shift.  report_rows is their one
+rule for what is written back: every node, or with terminal_only the last
+node alone, into (n_paths, 1) arrays, for callers that read only the
+terminal column (replication.impact_error, ledger.arbitrage_harness).
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ class ImpactedQuotePath:
     """Pre- and post-trade quotes along every path.
 
     s0_pre[p, k] is the quote seen by the trade at node k (impact of that
-    trade not yet reflected); s0_post[p, k] includes it.
+    trade not yet reflected); s0_post[p, k] includes it.  Both are
+    (n_paths, n_nodes), or (n_paths, 1) holding the last node when built
+    with terminal_only.
     """
 
     s0_pre: np.ndarray
@@ -95,6 +100,17 @@ def path_blocks(n_paths: int) -> list[slice]:
     """
     rows = min(1024, max(64, n_paths // 16))
     return [slice(p, min(p + rows, n_paths)) for p in range(0, n_paths, rows)]
+
+
+def report_rows(n_paths: int, n_nodes: int, terminal_only: bool) -> tuple[tuple, slice]:
+    """Shape of the path-major report arrays and the block rows written into them.
+
+    Every node, or with terminal_only the last one alone: block[keep].T is
+    then one (rows, 1) column of an (n_paths, 1) report.
+    """
+    if terminal_only:
+        return (n_paths, 1), slice(-1, None)
+    return (n_paths, n_nodes), slice(None)
 
 
 def time_major(a, block: slice) -> np.ndarray:
@@ -165,7 +181,7 @@ def stock_flow(bundle, x, lam: float, block: slice):
     return s, m, x, dx, m_dx, quote_shift(m_dx, lam, 1.0)
 
 
-def impacted_quote_path(bundle, x, lam: float) -> ImpactedQuotePath:
+def impacted_quote_path(bundle, x, lam: float, terminal_only: bool = False) -> ImpactedQuotePath:
     """Quote path under a grid trading strategy.
 
     The cumulative displacement after the node-k trade is
@@ -173,14 +189,16 @@ def impacted_quote_path(bundle, x, lam: float) -> ImpactedQuotePath:
     convention (M at the left node plus the covariation of depth and
     position over the step ending at the trade).  The quotes are built on
     time-major blocks of paths and written back path-major.  x is a 1-d
-    position profile or an (n_paths, n_nodes) array.
+    position profile or an (n_paths, n_nodes) array.  With terminal_only
+    the same blocks write only the last node (report_rows).
     """
     check_impact_fraction(lam)
     n_paths, n_nodes = bundle.n_paths, bundle.n_nodes
     x = positions(x, n_paths, n_nodes)
-    s0_pre, s0_post = np.empty((n_paths, n_nodes)), np.empty((n_paths, n_nodes))
+    shape, keep = report_rows(n_paths, n_nodes, terminal_only)
+    s0_pre, s0_post = np.empty(shape), np.empty(shape)
     for block in path_blocks(n_paths):
         s, *_, shift = stock_flow(bundle, x, lam, block)
-        s0_pre[block] = pre_trade_quote(s, shift).T
-        s0_post[block] = (s + shift).T
+        s0_pre[block] = pre_trade_quote(s, shift)[keep].T
+        s0_post[block] = (s + shift)[keep].T
     return ImpactedQuotePath(s0_pre=s0_pre, s0_post=s0_post)

@@ -86,7 +86,7 @@ def impact_error(bundle: PathBundle, terminal: TerminalCondition, solution_x: Bs
     adjusted terminal price of the x-run's terminal, under its recovered hedge."""
     if solution_x.x is None:
         raise InvalidParams("solution has no recovered hedge; call hedge_from_solution")
-    quotes = impacted_quote_path(bundle, solution_x.x, terminal.lam)
+    quotes = impacted_quote_path(bundle, solution_x.x, terminal.lam, terminal_only=True)
     return _estimate((quotes.s0_post[:, -1] - terminal.s_tilde) ** 2)
 
 

@@ -11,6 +11,8 @@ from liqlab.config import (
 )
 from liqlab.errors import ParseError, ValidationError
 
+from conftest import traced_peak
+
 
 class TestParsing:
     def test_empty_text_gives_pure_defaults(self):
@@ -145,6 +147,15 @@ class TestValidation:
         out = tmp_path / "o"
         assert run(experiment, cfg, out) == 2
         assert not out.exists()
+
+    def test_underflowing_unit_count_rejected_in_constant_memory(self, tmp_path):
+        # all 10**9 counts would take tens of GB; the last one is 0
+        cfg = apply_overrides(ScenarioConfig(), [f"run.n_x={10**9}"])
+        out = tmp_path / "o"
+        code, peak = traced_peak(lambda: run("simulate", cfg, out))
+        assert code == 2
+        assert not out.exists()
+        assert peak < 2**20
 
 
 def run_cli(args):

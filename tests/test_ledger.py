@@ -15,7 +15,7 @@ from liqlab import (
     swap_price_paths,
 )
 from liqlab import ledger
-from liqlab.errors import InvalidParams, NotSubmartingaleParams
+from liqlab.errors import GridMismatch, InvalidParams, NotSubmartingaleParams
 from liqlab.ledger import export_ledger_csv
 from liqlab.order_book import path_blocks
 
@@ -283,6 +283,10 @@ def test_ledger_csv_export(tmp_path, default_config):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("path,step,t,X,chi1,chi2,Y,")
     assert len(lines) == 1 + 2 * 5
+    terminal = cash_decomposed(strat, bundle, terminal_only=True)
+    with pytest.raises(GridMismatch):
+        export_ledger_csv(bundle, strat, terminal, tmp_path / "terminal.csv")
+    assert not (tmp_path / "terminal.csv").exists()
 
 
 @pytest.mark.parametrize("lam", [1.5, -0.1, float("nan"), float("inf")])

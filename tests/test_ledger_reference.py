@@ -6,8 +6,10 @@ fresh full (n_paths, n_nodes) temporaries.  The package must reproduce
 every report array and the discrepancy bit for bit, within one block of
 paths and across many, and the arbitrage harness must reproduce the means
 and standard errors of the route that takes the last column of
-`gain_paths()`.  The memory tests bound what one ledger allocates and
-check that the harness holds one report at a time.
+`gain_paths()`.  With terminal_only, the ledger and the quote path must
+write the last column of their full reports, bit for bit.  The memory
+tests bound what one ledger allocates and check that the harness holds one
+report at a time, and only its terminal column.
 """
 
 import weakref
@@ -36,6 +38,8 @@ REPORT_ARRAYS = ("y_direct", "y_decomposed", "gains", "impact_term", "quad_cost"
 
 # one block of paths, and 17 blocks of 187 paths whose last one is short
 PATH_COUNTS = (40, 3001)
+# one block of 1, 63 and 64 paths; 17 blocks of 93 and 20 of 1,000
+TERMINAL_PATH_COUNTS = (1, 63, 64, 1500, 20_000)
 
 
 # -- the earlier ledger, verbatim ---------------------------------------------
@@ -177,6 +181,24 @@ def test_report_bitwise_equal_to_reference(default_config, kind, lam):
         assert same_bits(quotes.s0_post, want_quotes.s0_post), n_paths
 
 
+@pytest.mark.parametrize("kind", ["profile", "array", "swap legs"])
+def test_terminal_only_is_the_last_column(default_config, kind):
+    for n_paths in TERMINAL_PATH_COUNTS:
+        bundle, strategy, extra = ledger_case(default_config, kind, n_paths)
+        full = cash_decomposed(strategy, bundle, lam=0.37, **extra)
+        last = cash_decomposed(strategy, bundle, lam=0.37, terminal_only=True, **extra)
+        for name in REPORT_ARRAYS:
+            assert same_bits(getattr(last, name), getattr(full, name)[:, -1:]), (n_paths, name)
+        assert same_bits(last.discrepancy, full.discrepancy), n_paths
+        assert same_bits(last.terminal_gain(), full.terminal_gain()), n_paths
+        assert same_bits(last.gain_paths(), full.gain_paths()[:, -1:]), n_paths
+
+        quotes = impacted_quote_path(bundle, strategy.x, 0.37)
+        last_quotes = impacted_quote_path(bundle, strategy.x, 0.37, terminal_only=True)
+        assert same_bits(last_quotes.s0_pre, quotes.s0_pre[:, -1:]), n_paths
+        assert same_bits(last_quotes.s0_post, quotes.s0_post[:, -1:]), n_paths
+
+
 def test_harness_bitwise_equal_to_gain_paths_route(default_config):
     cfg = override(default_config, model__gamma=0.5, model__eta=0.5, grid__n_steps=32)
     grid = cfg.time_grid()
@@ -236,3 +258,22 @@ class TestLedgerMemory:
         monkeypatch.setattr(ledger, "cash_decomposed", observed)
         arbitrage_harness(family, cfg.model_params(), grid, 2000, seed=4)
         assert len(built) == len(family)
+
+    def test_harness_keeps_no_whole_report(self, default_config, monkeypatch):
+        """At 20,000 paths x 64 steps one whole (n_paths, n_nodes) array is
+        10.4 MB.  With the bundle built outside the trace, the harness holds
+        at once one strategy's positions (a whole array for the two reactive
+        rules), the block temporaries of one ledger (at most about 20
+        (65, 1,024) block arrays of 0.53 MB, one whole array) and the
+        (n_paths, 1) terminal columns, so its peak stays under 2.5 whole
+        arrays (it is about 1.8).  A full stock-only report is six whole
+        arrays, so a harness that built one would peak above 7.
+        """
+        bundle = simulate_paths(default_config.model_params(), default_config.time_grid(),
+                                20_000, seed=4)
+        grid = default_config.time_grid()
+        family = round_trip_family(grid, 20, base_size=3.0, seed=7)
+        monkeypatch.setattr(ledger, "simulate_paths", lambda *args: bundle)
+        _, peak = traced_peak(lambda: arbitrage_harness(
+            family, default_config.model_params(), grid, bundle.n_paths, seed=4))
+        assert peak < 2.5 * bundle.s.nbytes
